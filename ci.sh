@@ -23,24 +23,21 @@
 #      LINT_report.json files
 #   7. parallel determinism: the persisted quickstart campaign run at
 #      --workers 4 must produce byte-identical artifacts to the
-#      --workers 1 run from gate 5, and the parallel-crawl bench
-#      records the speedup trajectory into target/BENCH_report.json
+#      --workers 1 run from gate 5
 #   8. serving layer: the quickstart loopback run (real HTTP/1.1 server
 #      + sockets) must report parity with the simulated crawl in
-#      target/PARITY_loopback.json, and the httpd bench records
-#      req/s + latency percentiles into target/BENCH_report.json
+#      target/PARITY_loopback.json
 #   9. economy determinism: the quickstart campaign with --scenario all
 #      must produce byte-identical ECONOMY_report.json +
 #      ECONOMY_events.jsonl across two clean runs, across --workers 1
 #      vs 4, and across a kill-at-2/resume cycle (proving the economy
-#      WAL record kinds survive crash recovery); the economy bench
-#      records events/sec into target/BENCH_report.json
+#      WAL record kinds survive crash recovery)
 #  10. live ops plane: two campaigns run with --ops (the
 #      ops.acctrade.local vhost is scraped over real sockets mid-run,
 #      and the quickstart exits 6 unless the final /metrics scrape
 #      reconciles with the manifest); their virtual-time
 #      TRACE_report.json files must be byte-identical across workers
-#      1 vs 4; and the TRACE/BENCH/ECONOMY artifacts must pass
+#      1 vs 4; and the TRACE/ECONOMY artifacts must pass
 #      validate_manifest
 #  11. conformance v2 + perf budget: the LINT report and the committed
 #      ARCH baseline must pass validate_manifest's schema checks; the
@@ -48,10 +45,11 @@
 #      violations (an undeclared manifest edge, an undocumented unsafe
 #      block, a blocking call on a reactor path), each of which must
 #      drive the analyzer to a nonzero exit with the tree restored and
-#      re-proven clean afterwards; the lint bench records the
-#      graph-resolution pass; and the accumulated bench report must sit
-#      inside BENCH_budget.json (with a deliberately degraded budget
-#      proven to fail the gate)
+#      re-proven clean afterwards; one bench pass (parallel_crawl,
+#      httpd, economy, store, lint) writes target/BENCH_report.json,
+#      which must pass validate_manifest and sit inside
+#      BENCH_budget.json (with a deliberately degraded budget proven to
+#      fail the gate)
 
 set -uo pipefail
 
@@ -167,8 +165,7 @@ fi
 echo "ci: conformance clean, report deterministic"
 
 # 7. Parallel-determinism gate: the same campaign on 4 crawl workers
-#    must be byte-identical to the sequential gate-5 run, and the
-#    parallel-crawl bench records the speedup trajectory.
+#    must be byte-identical to the sequential gate-5 run.
 rm -rf target/store/ci-parallel target/gate-parallel
 
 run cargo run --release --offline --example quickstart -- --campaign \
@@ -189,24 +186,9 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ci: campaign artifacts byte-identical at 1 and 4 workers"
 
-echo
-echo "==> BENCH_REPORT_PATH=target/BENCH_report.json cargo bench --offline" \
-     "-p acctrade-bench --bench parallel_crawl"
-# Absolute path: cargo runs bench binaries from the package directory,
-# not the workspace root.
-BENCH_REPORT_PATH="$PWD/target/BENCH_report.json" cargo bench --offline \
-    -p acctrade-bench --bench parallel_crawl || fail=1
-if [ "$fail" -ne 0 ] || [ ! -f target/BENCH_report.json ]; then
-    echo
-    echo "ci: FAILED (parallel-crawl bench did not record target/BENCH_report.json)"
-    exit 1
-fi
-echo "ci: parallel-crawl speedup trajectory recorded in target/BENCH_report.json"
-
 # 8. Serving-layer gate: the quickstart loopback run crawls a real
 #    HTTP/1.1 server over real sockets and must surface the exact same
-#    offers as the simulated fabric; the httpd bench then records
-#    keep-alive throughput + latency percentiles.
+#    offers as the simulated fabric.
 rm -f target/PARITY_loopback.json
 
 run cargo run --release --offline --example quickstart -- --transport loopback || fail=1
@@ -222,18 +204,6 @@ if ! grep -q '"parity": true' target/PARITY_loopback.json; then
     exit 1
 fi
 echo "ci: loopback crawl byte-identical to simulated crawl (after normalization)"
-
-echo
-echo "==> BENCH_REPORT_PATH=target/BENCH_report.json cargo bench --offline" \
-     "-p acctrade-bench --bench httpd"
-BENCH_REPORT_PATH="$PWD/target/BENCH_report.json" cargo bench --offline \
-    -p acctrade-bench --bench httpd || fail=1
-if [ "$fail" -ne 0 ] || ! grep -q '"httpd/keepalive_throughput"' target/BENCH_report.json; then
-    echo
-    echo "ci: FAILED (httpd bench did not record httpd/ entries in target/BENCH_report.json)"
-    exit 1
-fi
-echo "ci: httpd throughput + latency percentiles recorded in target/BENCH_report.json"
 
 # 9. Economy-determinism gate: the live economy (escrow orders, price
 #    trajectories, bot inventory) must be byte-identical run to run,
@@ -287,18 +257,6 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "ci: economy artifacts byte-identical across reruns, 1 vs 4 workers, and kill/resume"
 
-echo
-echo "==> BENCH_REPORT_PATH=target/BENCH_report.json cargo bench --offline" \
-     "-p acctrade-bench --bench economy"
-BENCH_REPORT_PATH="$PWD/target/BENCH_report.json" cargo bench --offline \
-    -p acctrade-bench --bench economy || fail=1
-if [ "$fail" -ne 0 ] || ! grep -q '"economy/scenario_all_campaign"' target/BENCH_report.json; then
-    echo
-    echo "ci: FAILED (economy bench did not record economy/ entries in target/BENCH_report.json)"
-    exit 1
-fi
-echo "ci: economy simulation throughput recorded in target/BENCH_report.json"
-
 # 10. Ops-plane gate. Two campaigns run with the live ops vhost
 #     mounted: the quickstart itself scrapes /metrics over real
 #     loopback sockets while the study executes and exits 6 unless the
@@ -350,20 +308,12 @@ run cargo run --release --offline -p acctrade-telemetry --bin validate_manifest 
     target/gate-ops-a/TRACE_wall.json || fail=1
 run cargo run --release --offline -p acctrade-telemetry --bin validate_manifest -- \
     target/gate-econ-a/ECONOMY_report.json || fail=1
-
-echo
-echo "==> BENCH_REPORT_PATH=target/BENCH_report.json cargo bench --offline" \
-     "-p acctrade-bench --bench store"
-BENCH_REPORT_PATH="$PWD/target/BENCH_report.json" cargo bench --offline \
-    -p acctrade-bench --bench store || fail=1
-run cargo run --release --offline -p acctrade-telemetry --bin validate_manifest -- \
-    target/BENCH_report.json || fail=1
 if [ "$fail" -ne 0 ]; then
     echo
-    echo "ci: FAILED (TRACE/BENCH/ECONOMY artifacts did not pass schema validation)"
+    echo "ci: FAILED (TRACE/ECONOMY artifacts did not pass schema validation)"
     exit 1
 fi
-echo "ci: TRACE/BENCH/ECONOMY artifacts pass validate_manifest schema checks"
+echo "ci: TRACE/ECONOMY artifacts pass validate_manifest schema checks"
 
 # 11. Conformance-v2 + perf-budget gate. The LINT report from gate 6
 #     and the committed architecture baseline must pass
@@ -374,10 +324,13 @@ echo "ci: TRACE/BENCH/ECONOMY artifacts pass validate_manifest schema checks"
 #     a reactor-path file (blocking-call) — and each must drive the
 #     analyzer to a nonzero exit. The tree is restored after each
 #     injection and re-proven clean (byte-identical to the gate-6
-#     report). Finally the lint bench records the graph-resolution
-#     pass and the accumulated bench report must sit inside the
-#     committed perf budget — with a deliberately degraded budget
-#     proven to fail.
+#     report). Finally one bench pass records every benchmark the
+#     budget reads — the parallel-crawl speedup trajectory, httpd
+#     keep-alive throughput + latency percentiles, economy simulation
+#     throughput, store append/replay, and the conformance scanner +
+#     graph resolution — and the report must pass validate_manifest and
+#     sit inside the committed perf budget, with a deliberately
+#     degraded budget proven to fail.
 run cargo run --release --offline -p acctrade-telemetry --bin validate_manifest -- \
     target/LINT_report.json || fail=1
 run cargo run --release --offline -p acctrade-telemetry --bin validate_manifest -- \
@@ -443,16 +396,33 @@ fi
 echo "ci: all three injected violations caught; restored tree scans clean"
 
 echo
-echo "==> BENCH_REPORT_PATH=target/BENCH_report.json cargo bench --offline" \
-     "-p acctrade-bench --bench lint"
-BENCH_REPORT_PATH="$PWD/target/BENCH_report.json" cargo bench --offline \
-    -p acctrade-bench --bench lint || fail=1
-if [ "$fail" -ne 0 ] || ! grep -q '"graph_resolution/resolve_workspace"' target/BENCH_report.json; then
+echo "==> BENCH_REPORT_PATH=target/BENCH_report.json cargo bench --offline -p acctrade-bench" \
+     "--bench parallel_crawl --bench httpd --bench economy --bench store --bench lint"
+# Absolute path: cargo runs bench binaries from the package directory,
+# not the workspace root.
+BENCH_REPORT_PATH="$PWD/target/BENCH_report.json" cargo bench --offline -p acctrade-bench \
+    --bench parallel_crawl --bench httpd --bench economy --bench store --bench lint || fail=1
+if [ "$fail" -ne 0 ] || [ ! -f target/BENCH_report.json ]; then
     echo
-    echo "ci: FAILED (lint bench did not record graph_resolution/ entries in target/BENCH_report.json)"
+    echo "ci: FAILED (bench pass did not record target/BENCH_report.json)"
     exit 1
 fi
-echo "ci: conformance scanner + graph-resolution timings recorded in target/BENCH_report.json"
+for entry in httpd/keepalive_throughput economy/scenario_all_campaign \
+             graph_resolution/resolve_workspace; do
+    if ! grep -q "\"$entry\"" target/BENCH_report.json; then
+        echo
+        echo "ci: FAILED (bench pass did not record $entry in target/BENCH_report.json)"
+        exit 1
+    fi
+done
+run cargo run --release --offline -p acctrade-telemetry --bin validate_manifest -- \
+    target/BENCH_report.json || fail=1
+if [ "$fail" -ne 0 ]; then
+    echo
+    echo "ci: FAILED (target/BENCH_report.json did not pass schema validation)"
+    exit 1
+fi
+echo "ci: bench pass recorded parallel-crawl, httpd, economy, store and lint entries"
 
 run cargo run --release --offline -p acctrade-bench --bin bench_budget -- \
     target/BENCH_report.json BENCH_budget.json || fail=1

@@ -13,21 +13,25 @@
 //! 3. **tracking & analysis** — moderation runs during the window, the
 //!    efficacy audit re-queries every visible account, and every analysis
 //!    of §§4–8 is computed.
+//!
+//! Every run has one driver. A fresh run ([`Study::run`] and the
+//! `run_persisted*` family) generates the world and deploys the fabric;
+//! [`Study::resume_from_with_workers`] rebuilds both from a store's WAL
+//! and checkpoint. Either way the same crawl segment and shared tail
+//! then run, always on the simulated fabric. Loopback-TCP crawls drive
+//! `CrawlCampaign` directly (see `tests/loopback_parity.rs`).
 
 use crate::{anatomy, dynamics, efficacy, network, report, scamposts, setup, underground};
 use acctrade_crawler::persist::{
-    ApiOutcomeRecord, CampaignCheckpoint, CampaignStore, ShardCursor, CHECKPOINT_SCHEMA,
+    ApiOutcomeRecord, CampaignCheckpoint, CampaignStore, CHECKPOINT_SCHEMA,
 };
 use acctrade_crawler::record::{Dataset, ProfileRecord};
 use acctrade_crawler::resolve::ProfileResolver;
-use acctrade_crawler::schedule::{
-    CampaignProgress, CrawlCampaign, IterationSnapshot, DEFAULT_DAYS_BETWEEN,
-};
+use acctrade_crawler::schedule::{CampaignProgress, CrawlCampaign, DEFAULT_DAYS_BETWEEN};
 use acctrade_crawler::underground::UndergroundCollector;
 use ::economy::{EconomyConfig, EconomyEvent, EconomySim};
 use acctrade_net::client::Client;
 use acctrade_net::clock::DAY;
-use acctrade_net::transport::Transport;
 use acctrade_net::sim::SimNet;
 use acctrade_net::tor::TorDirectory;
 use acctrade_social::platform::Platform;
@@ -111,7 +115,7 @@ pub struct StudyReport {
     /// counters (exported as `TELEMETRY_report.json`).
     pub telemetry: telemetry::RunManifest,
     /// What store recovery salvaged, when this report came out of
-    /// [`Study::resume_from`] (`None` on uninterrupted runs).
+    /// [`Study::resume_from_with_workers`] (`None` on uninterrupted runs).
     pub recovery: Option<RecoveryReport>,
     /// Economy analysis (E1–E3 + payment reconciliation), when the
     /// study ran with [`Study::with_economy`]; `None` otherwise.
@@ -191,27 +195,20 @@ pub struct Study {
     /// digest a resume validates against — a campaign started at
     /// `--workers 1` may legitimately resume at `--workers 8`.
     pub workers: usize,
-    /// Pluggable request transport for the crawler and API clients
-    /// (default `None` = the native sim fabric). Like `workers`, not
-    /// part of [`StudyConfig`]: a loopback run is a different *wire*,
-    /// not a different study. The underground (Tor) collection always
-    /// runs on the fabric — the loopback server speaks clearnet HTTP
-    /// only.
-    pub transport: Option<Arc<dyn Transport>>,
     /// Optional live economy (default `None` = the static seed world).
-    /// Like `workers` and `transport`, deliberately not part of
-    /// [`StudyConfig`]: with no economy attached every artifact is
-    /// byte-identical to the pre-economy pipeline, so the config digest
-    /// a resume validates against must not change. The scenario *is*
-    /// recorded in the checkpoint (`economy_scenario`) so a resumed run
-    /// rebuilds the same economy.
+    /// Like `workers`, deliberately not part of [`StudyConfig`]: with
+    /// no economy attached every artifact is byte-identical to the
+    /// pre-economy pipeline, so the config digest a resume validates
+    /// against must not change. The scenario *is* recorded in the
+    /// checkpoint (`economy_scenario`) so a resumed run rebuilds the
+    /// same economy.
     pub economy: Option<EconomyConfig>,
 }
 
 impl Study {
     /// Create a study.
     pub fn new(config: StudyConfig) -> Study {
-        Study { config, workers: 1, transport: None, economy: None }
+        Study { config, workers: 1, economy: None }
     }
 
     /// Attach an economy scenario (builder style): escrow order flow,
@@ -224,7 +221,7 @@ impl Study {
 
     /// The attached economy scenario's name, or `""` when disabled
     /// (the checkpoint encoding of "no economy").
-    pub fn economy_scenario(&self) -> &'static str {
+    fn economy_scenario(&self) -> &'static str {
         self.economy.as_ref().map(|c| c.name).unwrap_or("")
     }
 
@@ -234,66 +231,26 @@ impl Study {
         self
     }
 
-    /// Route the crawler and profile-resolver clients through a
-    /// [`Transport`] (builder style) — e.g. `acctrade-httpd`'s loopback
-    /// TCP. The transport's mode name is recorded in telemetry as the
-    /// run's `transport_mode` event for provenance.
-    pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Study {
-        self.transport = Some(transport);
-        self
-    }
-
-    /// The installed transport's mode, or "sim".
-    pub fn transport_mode(&self) -> &'static str {
-        self.transport.as_deref().map(Transport::mode).unwrap_or("sim")
-    }
-
-    /// Apply the study's transport (if any) to a client.
-    fn outfit(&self, client: Client) -> Client {
-        match &self.transport {
-            Some(t) => client.with_transport(Arc::clone(t)),
-            None => client,
-        }
-    }
-
-    /// Run the full pipeline. This generates the world internally; use
-    /// [`Study::run_on`] to measure a pre-built world.
-    pub fn run(&self) -> StudyReport {
-        let mut world = World::generate(WorldParams {
-            seed: self.config.seed,
-            scale: self.config.scale,
-        });
-        self.run_on(&mut world)
-    }
-
-    /// Run the pipeline against an existing world.
+    /// Run the full pipeline against a freshly generated world.
     ///
     /// The run is instrumented end-to-end: if the caller has already
     /// scoped a [`telemetry::Recorder`], the study records into it;
     /// otherwise it creates its own. Either way the resulting
     /// [`telemetry::RunManifest`] lands in [`StudyReport::telemetry`].
-    pub fn run_on(&self, world: &mut World) -> StudyReport {
-        self.run_on_store(world, None, None, None)
-            .expect("in-memory study cannot fail") // conformance: allow(panic-policy) — no store and no kill hook: infallible by construction
-            .expect("no kill was requested")
+    pub fn run(&self) -> StudyReport {
+        let report = self.run_fresh(None, Kill::Never);
+        completed(report.expect("in-memory study cannot fail")) // conformance: allow(panic-policy) — no store: infallible by construction
     }
 
     /// Run the full pipeline, streaming every dataset record into a
     /// durable store at `store_dir` with per-iteration checkpoints.
     ///
     /// A process that dies mid-campaign leaves behind a WAL plus a
-    /// checkpoint from which [`Study::resume_from`] continues the run —
-    /// producing a byte-identical dataset and telemetry manifest versus
-    /// an uninterrupted run of the same seed.
+    /// checkpoint from which [`Study::resume_from_with_workers`]
+    /// continues the run — producing a byte-identical dataset and
+    /// telemetry manifest versus an uninterrupted run of the same seed.
     pub fn run_persisted(&self, store_dir: &Path) -> Result<StudyReport, StoreError> {
-        let mut world = World::generate(WorldParams {
-            seed: self.config.seed,
-            scale: self.config.scale,
-        });
-        let mut store = CampaignStore::create(store_dir)?;
-        Ok(self
-            .run_on_store(&mut world, Some(&mut store), None, None)?
-            .expect("no kill was requested")) // conformance: allow(panic-policy) — no kill hook was passed
+        self.run_fresh(Some(store_dir), Kill::Never).map(completed)
     }
 
     /// [`Study::run_persisted`], but stop (simulating a crash) once
@@ -305,12 +262,7 @@ impl Study {
         store_dir: &Path,
         kill_after_iterations: usize,
     ) -> Result<Option<StudyReport>, StoreError> {
-        let mut world = World::generate(WorldParams {
-            seed: self.config.seed,
-            scale: self.config.scale,
-        });
-        let mut store = CampaignStore::create(store_dir)?;
-        self.run_on_store(&mut world, Some(&mut store), Some(kill_after_iterations), None)
+        self.run_fresh(Some(store_dir), Kill::AfterIteration(kill_after_iterations))
     }
 
     /// [`Study::run_persisted`], but simulate a process death *inside*
@@ -326,15 +278,13 @@ impl Study {
         iteration: usize,
         after_shards: usize,
     ) -> Result<Option<StudyReport>, StoreError> {
-        let mut world = World::generate(WorldParams {
-            seed: self.config.seed,
-            scale: self.config.scale,
-        });
-        let mut store = CampaignStore::create(store_dir)?;
-        self.run_on_store(&mut world, Some(&mut store), None, Some((iteration, after_shards)))
+        self.run_fresh(Some(store_dir), Kill::InShard { iteration, after_shards })
     }
 
-    /// Resume an interrupted persisted study from `store_dir`.
+    /// Resume an interrupted persisted study from `store_dir` on
+    /// `workers` crawl-engine threads. The count need not match the
+    /// interrupted run's — any combination converges on byte-identical
+    /// artifacts.
     ///
     /// Recovery first (on the *ambient* telemetry recorder): the WAL is
     /// replayed, torn tails truncated, uncommitted records rolled back.
@@ -343,19 +293,12 @@ impl Study {
     /// fabric RNG seeked to their checkpointed positions, telemetry
     /// restored from its snapshot — and the campaign continues at the
     /// checkpointed iteration as if never interrupted.
-    pub fn resume_from(config: StudyConfig, store_dir: &Path) -> Result<StudyReport, StoreError> {
-        Study::resume_from_with_workers(config, store_dir, 1)
-    }
-
-    /// [`Study::resume_from`] with an explicit crawl-engine worker
-    /// count. The count need not match the interrupted run's — any
-    /// combination converges on byte-identical artifacts.
     pub fn resume_from_with_workers(
         config: StudyConfig,
         store_dir: &Path,
         workers: usize,
     ) -> Result<StudyReport, StoreError> {
-        let (mut store, cp, wal, recovery) = CampaignStore::open_resume(store_dir)?;
+        let (store, cp, wal, recovery) = CampaignStore::open_resume(store_dir)?;
         if cp.complete {
             return Err(StoreError::Invalid(
                 "checkpoint marks the study complete; nothing to resume".into(),
@@ -367,10 +310,10 @@ impl Study {
                 cp.seed, config.seed
             )));
         }
-        let config_digest = telemetry::digest64(&format!("{:?}", config));
-        if cp.config_digest != config_digest {
+        let digest = config_digest(&config);
+        if cp.config_digest != digest {
             return Err(StoreError::Invalid(format!(
-                "checkpoint config digest {} does not match config digest {config_digest}",
+                "checkpoint config digest {} does not match config digest {digest}",
                 cp.config_digest
             )));
         }
@@ -378,51 +321,40 @@ impl Study {
         // The economy scenario rides in the checkpoint, not the config:
         // a resume must rebuild exactly the economy the interrupted run
         // was simulating.
-        let economy_cfg = if cp.economy_scenario.is_empty() {
-            None
-        } else {
-            match EconomyConfig::scenario(&cp.economy_scenario) {
-                Some(cfg) => Some(cfg),
-                None => {
-                    return Err(StoreError::Invalid(format!(
-                        "checkpoint names unknown economy scenario {:?}",
-                        cp.economy_scenario
-                    )))
-                }
-            }
-        };
         let mut study = Study::new(config).with_workers(workers);
-        study.economy = economy_cfg.clone();
+        if !cp.economy_scenario.is_empty() {
+            let scenario = EconomyConfig::scenario(&cp.economy_scenario).ok_or_else(|| {
+                StoreError::Invalid(format!(
+                    "checkpoint names unknown economy scenario {:?}",
+                    cp.economy_scenario
+                ))
+            })?;
+            study.economy = Some(scenario);
+        }
 
         // Rebuild the simulation silently: deploy and world evolution were
         // already recorded before the interruption; re-recording them would
         // diverge from an uninterrupted run.
-        let mut world;
-        let net;
-        let mut sim;
-        {
+        let (world, net, mut economy) = {
             let quiet = telemetry::Recorder::disabled();
             let _gag = quiet.enter();
-            world = World::generate(WorldParams { seed: config.seed, scale: config.scale });
-            net = SimNet::new(config.seed);
+            let mut world = World::generate(WorldParams { seed: config.seed, scale: config.scale });
+            let net = SimNet::new(config.seed);
             world.deploy(&net);
             // The economy replays the same schedule the live run walked:
             // primed at t0, advanced at every inter-iteration step.
-            sim = economy_cfg.map(|cfg| {
-                let mut sim = EconomySim::new(config.seed, config.scale, cfg);
-                sim.prime(&mut world, cp.t0_unix);
-                sim
-            });
+            let mut economy = study.economy_sim(&mut world, cp.t0_unix);
             for &at in &cp.step_unixes {
                 world.step_iteration(at);
-                if let Some(sim) = sim.as_mut() {
+                if let Some(sim) = economy.as_mut() {
                     sim.advance_to(&mut world, at);
                 }
             }
             net.clock().advance_to(cp.clock_us);
             net.set_rng_word_position(cp.net_rng_words);
-        }
-        if let Some(sim) = sim.as_mut() {
+            (world, net, economy)
+        };
+        if let Some(sim) = economy.as_mut() {
             // Integrity gate: the deterministic rebuild must reproduce
             // the committed WAL stream event for event, or the store
             // does not describe this seed/scenario.
@@ -441,16 +373,6 @@ impl Study {
         rec.set_virtual_clock(Arc::new(net.clock().clone()));
         let _scope = rec.enter();
 
-        let ctx = PersistCtx {
-            config_digest,
-            iterations: cp.iterations_total,
-            days_between: cp.days_between,
-            t0_unix: cp.t0_unix,
-            campaign_started_us: cp.campaign_started_us,
-            requests_base: cp.requests_issued,
-            kill_after: None,
-            shard_kill: None,
-        };
         // The re-visit comparison basis is rebuilt the way the live run
         // built it: first parsed price per offer, then every committed
         // observation applied in stream order.
@@ -463,7 +385,7 @@ impl Study {
         for obs in &wal.price_obs {
             last_price.insert(obs.offer_url.clone(), obs.price_usd);
         }
-        let mut progress = CampaignProgress {
+        let progress = CampaignProgress {
             seen: wal.dataset.offers.iter().map(|o| o.offer_url.clone()).collect(),
             offers: wal.dataset.offers,
             snapshots: cp.snapshots,
@@ -473,46 +395,40 @@ impl Study {
             price_obs: wal.price_obs,
             last_price,
         };
-        {
-            // Re-open the interrupted `crawl_campaign` span at its original
-            // virtual start, so the resumed manifest reports the same stage.
-            let _stage = rec.span_starting_at("crawl_campaign", cp.campaign_started_us);
-            study.run_campaign_segment(
-                &mut world,
-                &net,
-                &rec,
-                &mut progress,
-                &mut store,
-                sim.as_mut(),
-                &ctx,
-            )?;
-        }
-
-        let dataset =
-            Dataset { offers: std::mem::take(&mut progress.offers), ..Dataset::default() };
-        let outcome = CampaignOutcome {
-            dataset,
-            snapshots: progress.snapshots,
-            step_unixes: progress.step_unixes,
-            shard_cursors: progress.shard_cursors,
-            economy_events: sim.map(|s| s.events().to_vec()).unwrap_or_default(),
-            price_observations: progress.price_obs.len(),
+        let ctx = PersistCtx {
+            config_digest: digest,
+            iterations: cp.iterations_total,
+            days_between: cp.days_between,
+            t0_unix: cp.t0_unix,
+            campaign_started_us: cp.campaign_started_us,
+            requests_base: cp.requests_issued,
+            kill: Kill::Never,
+        };
+        let run = RunState {
+            world,
+            net,
+            rec,
+            economy,
+            progress,
+            store: Some(store),
+            ctx,
             recovery: Some(recovery),
         };
-        study.finish(&mut world, &net, &rec, Some(&mut store), outcome, &ctx)
+        study.drive(run).map(completed)
     }
 
-    /// The shared engine behind [`Study::run_on`], [`Study::run_persisted`]
-    /// and [`Study::run_persisted_with_kill`]: deploy, campaign (with
-    /// optional persistence and crash injection), then the shared tail.
-    /// Returns `Ok(None)` when a requested kill fired mid-campaign.
-    fn run_on_store(
+    /// Build a fresh run's state — world generated from the seed, an
+    /// optional store created at `store_dir`, fabric deployed, economy
+    /// primed — and drive it.
+    fn run_fresh(
         &self,
-        world: &mut World,
-        mut store: Option<&mut CampaignStore>,
-        kill_after: Option<usize>,
-        shard_kill: Option<(usize, usize)>,
+        store_dir: Option<&Path>,
+        kill: Kill,
     ) -> Result<Option<StudyReport>, StoreError> {
+        let mut world =
+            World::generate(WorldParams { seed: self.config.seed, scale: self.config.scale });
+        let store = store_dir.map(CampaignStore::create).transpose()?;
+
         // Resolve the recorder before touching the fabric so
         // `SimNet::with_clock` installs the virtual clock into it.
         let current = telemetry::recorder();
@@ -524,121 +440,93 @@ impl Study {
             let _stage = telemetry::span("deploy");
             world.deploy(&net);
         }
-        rec.event("transport_mode", self.transport_mode());
+        rec.event("transport_mode", "sim");
         let t0 = net.clock().now_unix();
 
-        // The economy primes right after deploy — bot sellers register
-        // and the engines schedule their first actions at t0 — so the
-        // first crawl pass already sees the operated market.
-        let mut sim = self.economy.clone().map(|cfg| {
-            let mut sim = EconomySim::new(self.config.seed, self.config.scale, cfg);
-            sim.prime(world, t0);
-            sim
-        });
-
-        let mut ctx = PersistCtx {
-            config_digest: telemetry::digest64(&format!("{:?}", self.config)),
+        // The economy primes right after deploy so the first crawl pass
+        // already sees the operated market.
+        let economy = self.economy_sim(&mut world, t0);
+        let ctx = PersistCtx {
+            config_digest: config_digest(&self.config),
             iterations: self.config.iterations.max(1),
             days_between: DEFAULT_DAYS_BETWEEN,
             t0_unix: t0,
-            campaign_started_us: 0,
+            campaign_started_us: rec.virtual_now(),
             requests_base: 0,
-            kill_after,
-            shard_kill,
+            kill,
         };
+        let run = RunState {
+            world,
+            net,
+            rec,
+            economy,
+            progress: CampaignProgress::default(),
+            store,
+            ctx,
+            recovery: None,
+        };
+        self.drive(run)
+    }
 
-        // -- Module 2a: the public-marketplace crawl campaign.
-        let mut progress = CampaignProgress::default();
-        ctx.campaign_started_us = rec.virtual_now();
+    /// The attached economy primed at `t0_unix`: bot sellers register
+    /// and the engines schedule their first actions.
+    fn economy_sim(&self, world: &mut World, t0_unix: i64) -> Option<EconomySim> {
+        self.economy.clone().map(|cfg| {
+            let mut sim = EconomySim::new(self.config.seed, self.config.scale, cfg);
+            sim.prime(world, t0_unix);
+            sim
+        })
+    }
+
+    /// The one driver behind every run, fresh or resumed: the crawl
+    /// campaign from `run.progress` on — checkpointing after every
+    /// iteration when there is a store, and honouring the injected kill
+    /// — then the shared tail. Returns `Ok(None)` when a kill fired
+    /// mid-campaign.
+    fn drive(&self, mut run: RunState) -> Result<Option<StudyReport>, StoreError> {
         {
-            let _stage = telemetry::span("crawl_campaign");
-            if let Some(s) = store.as_deref_mut() {
-                self.run_campaign_segment(world, &net, &rec, &mut progress, s, sim.as_mut(), &ctx)?;
-            } else {
-                let crawler_client = self
-                    .outfit(Client::new(&net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0));
-                let mut campaign = CrawlCampaign::new(&crawler_client);
-                campaign.days_between = ctx.days_between;
-                campaign.workers = self.workers;
-                campaign.shard_kill = ctx.shard_kill;
-                campaign
-                    .run_resumable(world, ctx.iterations, &mut progress, None, sim.as_mut(), |_, _| {
-                        Ok(true)
-                    })
-                    .map_err(StoreError::Io)?;
-            }
+            // On a resume this re-opens the interrupted span at its
+            // original virtual start, so the manifest reports one stage.
+            let _stage = run.rec.span_starting_at("crawl_campaign", run.ctx.campaign_started_us);
+            let RunState { world, net, rec, economy, progress, store, ctx, .. } = &mut run;
+            let crawler_client =
+                Client::new(net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0);
+            let mut campaign = CrawlCampaign::new(&crawler_client);
+            campaign.days_between = ctx.days_between;
+            campaign.workers = self.workers;
+            campaign.shard_kill = ctx.kill.in_shard();
+            campaign
+                .run_resumable(
+                    world,
+                    ctx.iterations,
+                    progress,
+                    store.as_mut(),
+                    economy.as_mut(),
+                    |progress, store| {
+                        if let Some(s) = store {
+                            let cp = self.checkpoint(net, rec, s, ctx, progress, false);
+                            s.write_checkpoint(&cp)?;
+                        }
+                        Ok(ctx.kill.continues_at(progress.next_iteration))
+                    },
+                )
+                .map_err(StoreError::Io)?;
         }
-        if progress.next_iteration < ctx.iterations {
+        if run.progress.next_iteration < run.ctx.iterations {
             // The injected kill fired; the checkpoint and WAL are on disk.
             return Ok(None);
         }
-
-        let dataset =
-            Dataset { offers: std::mem::take(&mut progress.offers), ..Dataset::default() };
-        let outcome = CampaignOutcome {
-            dataset,
-            snapshots: progress.snapshots,
-            step_unixes: progress.step_unixes,
-            shard_cursors: progress.shard_cursors,
-            economy_events: sim.map(|s| s.events().to_vec()).unwrap_or_default(),
-            price_observations: progress.price_obs.len(),
-            recovery: None,
-        };
-        self.finish(world, &net, &rec, store, outcome, &ctx).map(Some)
-    }
-
-    /// Run (or continue) the crawl campaign against a durable store,
-    /// checkpointing after every iteration and honouring `ctx.kill_after`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_campaign_segment(
-        &self,
-        world: &mut World,
-        net: &std::sync::Arc<SimNet>,
-        rec: &telemetry::Recorder,
-        progress: &mut CampaignProgress,
-        store: &mut CampaignStore,
-        economy: Option<&mut EconomySim>,
-        ctx: &PersistCtx,
-    ) -> Result<(), StoreError> {
-        let crawler_client =
-            self.outfit(Client::new(net, "acctrade-crawler/0.1").with_politeness(20.0, 8.0));
-        let mut campaign = CrawlCampaign::new(&crawler_client);
-        campaign.days_between = ctx.days_between;
-        campaign.workers = self.workers;
-        campaign.shard_kill = ctx.shard_kill;
-        campaign
-            .run_resumable(world, ctx.iterations, progress, Some(store), economy, |progress, store| {
-                if let Some(s) = store {
-                    let cp = self.make_checkpoint(
-                        net,
-                        rec,
-                        s,
-                        ctx,
-                        progress.next_iteration,
-                        &progress.snapshots,
-                        &progress.step_unixes,
-                        &progress.shard_cursors,
-                        false,
-                    );
-                    s.write_checkpoint(&cp)?;
-                }
-                Ok(ctx.kill_after.is_none_or(|k| progress.next_iteration < k))
-            })
-            .map_err(StoreError::Io)
+        self.finish(run).map(Some)
     }
 
     /// Build a checkpoint capturing the run's entire resumable state.
-    #[allow(clippy::too_many_arguments)]
-    fn make_checkpoint(
+    fn checkpoint(
         &self,
-        net: &std::sync::Arc<SimNet>,
+        net: &SimNet,
         rec: &telemetry::Recorder,
         store: &CampaignStore,
         ctx: &PersistCtx,
-        next_iteration: usize,
-        snapshots: &[IterationSnapshot],
-        step_unixes: &[i64],
-        shard_cursors: &[ShardCursor],
+        progress: &CampaignProgress,
         complete: bool,
     ) -> CampaignCheckpoint {
         CampaignCheckpoint {
@@ -646,7 +534,7 @@ impl Study {
             seed: self.config.seed,
             config_digest: ctx.config_digest.clone(),
             iterations_total: ctx.iterations,
-            next_iteration,
+            next_iteration: progress.next_iteration,
             days_between: ctx.days_between,
             t0_unix: ctx.t0_unix,
             campaign_started_us: ctx.campaign_started_us,
@@ -655,9 +543,9 @@ impl Study {
             requests_issued: ctx.requests_base + net.request_count(),
             committed_records: store.total_records(),
             segment_max_bytes: store.segment_max_bytes(),
-            step_unixes: step_unixes.to_vec(),
-            snapshots: snapshots.to_vec(),
-            shard_cursors: shard_cursors.to_vec(),
+            step_unixes: progress.step_unixes.clone(),
+            snapshots: progress.snapshots.clone(),
+            shard_cursors: progress.shard_cursors.clone(),
             telemetry: rec.snapshot(),
             economy_scenario: self.economy_scenario().to_string(),
             complete,
@@ -667,32 +555,19 @@ impl Study {
     /// Everything after the crawl campaign: resolution, underground
     /// collection, moderation, the §8 re-query, the analyses, the
     /// manifest, and — on persisted runs — the final complete checkpoint.
-    fn finish(
-        &self,
-        world: &mut World,
-        net: &std::sync::Arc<SimNet>,
-        rec: &telemetry::Recorder,
-        mut store: Option<&mut CampaignStore>,
-        outcome: CampaignOutcome,
-        ctx: &PersistCtx,
-    ) -> Result<StudyReport, StoreError> {
-        let CampaignOutcome {
-            mut dataset,
-            snapshots,
-            step_unixes,
-            shard_cursors,
-            economy_events,
-            price_observations,
-            recovery,
-        } = outcome;
+    fn finish(&self, run: RunState) -> Result<StudyReport, StoreError> {
+        let RunState { mut world, net, rec, economy, mut progress, mut store, ctx, recovery } =
+            run;
+        let economy_events = economy.map(|sim| sim.events().to_vec()).unwrap_or_default();
+        let mut dataset =
+            Dataset { offers: std::mem::take(&mut progress.offers), ..Dataset::default() };
 
         // -- Module 2b: profile metadata + timelines for visible accounts.
-        let api_client = self.outfit(Client::new(net, "acctrade-pipeline/0.1"));
+        let api_client = Client::new(&net, "acctrade-pipeline/0.1");
         let resolver = ProfileResolver::new(&api_client);
         {
             let _stage = telemetry::span("resolve_profiles");
-            let (profiles, posts) =
-                resolver.resolve_offers_into(&dataset.offers, store.as_deref_mut())?;
+            let (profiles, posts) = resolver.resolve_offers_into(&dataset.offers, store.as_mut())?;
             dataset.profiles = profiles;
             dataset.posts = posts;
         }
@@ -707,14 +582,14 @@ impl Study {
             // emptiness is itself a §4.2 finding).
             for forum in &world.forums {
                 let cfg = forum.config();
-                let operator = Client::new(net, "tor-browser/13")
+                let operator = Client::new(&net, "tor-browser/13")
                     .manual(self.config.seed ^ cfg.id as u64)
                     .via_tor(directory.build_circuit(&mut tor_rng));
                 let collector =
                     UndergroundCollector::new(&operator, cfg.host.clone(), cfg.name);
                 let (records, _stats) = collector.collect();
                 for record in records {
-                    if let Some(s) = store.as_deref_mut() {
+                    if let Some(s) = store.as_mut() {
                         s.append_underground(&record)?;
                     }
                     dataset.underground.push(record);
@@ -735,7 +610,7 @@ impl Study {
             for p in &dataset.profiles {
                 let record = resolver
                     .resolve(Platform::parse(&p.platform).expect("known platform"), &p.handle); // conformance: allow(panic-policy) — dataset platforms come from Platform::name
-                if let Some(s) = store.as_deref_mut() {
+                if let Some(s) = store.as_mut() {
                     s.append_api_outcome(&ApiOutcomeRecord {
                         platform: record.platform.clone(),
                         handle: record.handle.clone(),
@@ -760,7 +635,7 @@ impl Study {
         }
         let table2 = anatomy::table2(&dataset.offers, &visible_and_posts);
         let anatomy_stats = anatomy::anatomy_stats(&dataset.offers);
-        let listing_dynamics = dynamics::ListingDynamics::from_snapshots(&snapshots);
+        let listing_dynamics = dynamics::ListingDynamics::from_snapshots(&progress.snapshots);
         let table4 = setup::table4(&dataset.profiles);
         let creation = setup::creation_cdf(&dataset.profiles);
         let setup_stats = setup::setup_stats(&dataset.profiles);
@@ -774,7 +649,7 @@ impl Study {
                 crate::economy::analyze(
                     cfg.name,
                     &economy_events,
-                    world,
+                    &world,
                     ctx.t0_unix,
                     campaign_days,
                 )
@@ -789,20 +664,9 @@ impl Study {
         // Persisted runs end with a durable sync and a `complete`
         // checkpoint, so a finished store is never mistaken for an
         // interrupted one.
-        if let Some(s) = store {
+        if let Some(s) = store.as_mut() {
             s.sync()?;
-            let cp = self.make_checkpoint(
-                net,
-                rec,
-                s,
-                ctx,
-                ctx.iterations,
-                &snapshots,
-                &step_unixes,
-                &shard_cursors,
-                true,
-            );
-            s.write_checkpoint(&cp)?;
+            s.write_checkpoint(&self.checkpoint(&net, &rec, s, &ctx, &progress, true))?;
         }
 
         Ok(StudyReport {
@@ -825,8 +689,52 @@ impl Study {
             recovery,
             economy: economy_analysis,
             economy_events,
-            price_observations,
+            price_observations: progress.price_obs.len(),
         })
+    }
+}
+
+/// The report of a run that injected no kill ([`Kill::Never`]), which
+/// always reaches the end of its campaign.
+fn completed(report: Option<StudyReport>) -> StudyReport {
+    report.expect("no kill was requested") // conformance: allow(panic-policy) — only an injected kill stops a campaign early
+}
+
+/// The digest of the [`StudyConfig`] a checkpoint was written under; a
+/// resume refuses a store whose digest differs from its own config's.
+fn config_digest(config: &StudyConfig) -> String {
+    telemetry::digest64(&format!("{config:?}"))
+}
+
+/// Crash injection for the recovery tests and the quickstart's
+/// `--kill-at`.
+#[derive(Debug, Clone, Copy)]
+enum Kill {
+    /// Run to completion.
+    Never,
+    /// Stop once this many iterations have completed and checkpointed.
+    AfterIteration(usize),
+    /// Abort inside the parallel crawl of `iteration` once
+    /// `after_shards` shards have completed, persisting nothing of it.
+    InShard { iteration: usize, after_shards: usize },
+}
+
+impl Kill {
+    /// The crawl engine's `(iteration, after_shards)` kill hook.
+    fn in_shard(self) -> Option<(usize, usize)> {
+        match self {
+            Kill::InShard { iteration, after_shards } => Some((iteration, after_shards)),
+            Kill::Never | Kill::AfterIteration(_) => None,
+        }
+    }
+
+    /// Whether the campaign goes on once `next_iteration` is
+    /// checkpointed.
+    fn continues_at(self, next_iteration: usize) -> bool {
+        match self {
+            Kill::AfterIteration(k) => next_iteration < k,
+            Kill::Never | Kill::InShard { .. } => true,
+        }
     }
 }
 
@@ -844,21 +752,21 @@ struct PersistCtx {
     campaign_started_us: u64,
     /// Requests issued before this process took over (resume only).
     requests_base: usize,
-    /// Crash injection: stop after this many completed iterations.
-    kill_after: Option<usize>,
-    /// Crash injection inside the parallel phase: abort during
-    /// iteration `.0` once `.1` shards completed.
-    shard_kill: Option<(usize, usize)>,
+    /// Crash injection.
+    kill: Kill,
 }
 
-/// What the campaign phase hands to the shared tail.
-struct CampaignOutcome {
-    dataset: Dataset,
-    snapshots: Vec<IterationSnapshot>,
-    step_unixes: Vec<i64>,
-    shard_cursors: Vec<ShardCursor>,
-    economy_events: Vec<EconomyEvent>,
-    price_observations: usize,
+/// A run at the start of its crawl segment: what a fresh run builds
+/// from the seed and a resume rebuilds from its store.
+struct RunState {
+    world: World,
+    net: Arc<SimNet>,
+    rec: telemetry::Recorder,
+    economy: Option<EconomySim>,
+    progress: CampaignProgress,
+    store: Option<CampaignStore>,
+    ctx: PersistCtx,
+    /// What store recovery salvaged (resume only).
     recovery: Option<RecoveryReport>,
 }
 

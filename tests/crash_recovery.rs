@@ -116,7 +116,7 @@ fn resume(dir: &Path) -> (StudyReport, telemetry::Recorder) {
     let ambient = telemetry::Recorder::new();
     let report = {
         let _scope = ambient.enter();
-        Study::resume_from(config(), dir).unwrap()
+        Study::resume_from_with_workers(config(), dir, 1).unwrap()
     };
     (report, ambient)
 }
@@ -141,7 +141,7 @@ fn kill_at_iteration_boundary_resumes_byte_identical() {
     // A mismatched seed is refused before any simulation is rebuilt.
     let mut wrong = config();
     wrong.seed ^= 1;
-    match Study::resume_from(wrong, &dir) {
+    match Study::resume_from_with_workers(wrong, &dir, 1) {
         Err(StoreError::Invalid(msg)) => assert!(msg.contains("seed"), "got {msg:?}"),
         other => panic!("expected Invalid seed mismatch, got {:?}", other.map(|_| "report")),
     }
@@ -154,9 +154,28 @@ fn kill_at_iteration_boundary_resumes_byte_identical() {
     assert_identical(&collect_artifacts(&report, &dir));
 
     // The finished store is marked complete and refuses a second resume.
-    match Study::resume_from(config(), &dir) {
+    match Study::resume_from_with_workers(config(), &dir, 1) {
         Err(StoreError::Invalid(msg)) => assert!(msg.contains("complete"), "got {msg:?}"),
         other => panic!("expected Invalid complete, got {:?}", other.map(|_| "report")),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The config-digest guard: a config that differs from the store's only
+/// in `iterations` (same seed) is a different study, and resuming under
+/// it is refused before any simulation is rebuilt.
+#[test]
+fn resume_under_a_different_config_is_refused() {
+    let dir = scratch("digest");
+    killed_run(&dir, 2);
+
+    let mut other = config();
+    other.iterations += 1;
+    match Study::resume_from_with_workers(other, &dir, 1) {
+        Err(StoreError::Invalid(msg)) => {
+            assert!(msg.contains("config digest"), "got {msg:?}")
+        }
+        other => panic!("expected Invalid config digest, got {:?}", other.map(|_| "report")),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -271,7 +290,7 @@ fn corrupt_committed_record_is_a_hard_error() {
     bytes[20] ^= 0xFF; // flip one byte inside a committed record
     std::fs::write(&first, bytes).unwrap();
 
-    match Study::resume_from(config(), &dir) {
+    match Study::resume_from_with_workers(config(), &dir, 1) {
         Err(StoreError::CommittedDataLost { committed, salvaged, .. }) => {
             assert!(salvaged < committed, "salvaged {salvaged} < committed {committed}");
         }

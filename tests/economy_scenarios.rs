@@ -3,14 +3,18 @@
 //! * the live economy is a deterministic function of (seed, scenario) —
 //!   worker counts are a pure performance knob, and a crash/resume
 //!   cycle reproduces the identical economy event for event;
+//! * a resume refuses a store whose checkpoint names a scenario it
+//!   cannot rebuild, or one whose rebuild diverges from the WAL;
 //! * with no economy attached, the subsystem is perfectly inert: no
 //!   events, no counters, no report section — the study's artifacts are
 //!   those of the pre-economy pipeline.
 
 use acctrade::core::study::{Study, StudyConfig, StudyReport};
+use acctrade::crawler::CampaignCheckpoint;
 use acctrade::economy::{stream_digest, EconomyConfig};
+use acctrade::store::StoreError;
 use acctrade::telemetry;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const SEED: u64 = 20250808;
 
@@ -83,7 +87,7 @@ fn kill_and_resume_reproduce_the_identical_economy() {
     let resumed = {
         let rec = telemetry::Recorder::new();
         let _scope = rec.enter();
-        Study::resume_from(config(), &dir).expect("resume rebuilds the economy")
+        Study::resume_from_with_workers(config(), &dir, 1).expect("resume rebuilds the economy")
     };
     assert!(resumed.recovery.is_some(), "resumed runs report recovery");
     let resumed_cp = std::fs::read_to_string(dir.join("checkpoint.json")).expect("checkpoint");
@@ -99,6 +103,57 @@ fn kill_and_resume_reproduce_the_identical_economy() {
         stream_digest(&clean.economy_events),
         stream_digest(&resumed.economy_events),
     );
+}
+
+/// A store killed mid-campaign under scenario `all`, whose checkpoint is
+/// then rewritten to name `scenario` instead.
+fn killed_store_naming(tag: &str, scenario: &str) -> PathBuf {
+    let dir = scratch(tag);
+    {
+        let rec = telemetry::Recorder::new();
+        let _scope = rec.enter();
+        let killed = Study::new(config())
+            .with_economy(EconomyConfig::scenario("all").expect("known scenario"))
+            .run_persisted_with_kill(&dir, 2)
+            .expect("killed economy run");
+        assert!(killed.is_none(), "the injected kill must fire");
+    }
+    let path = dir.join("checkpoint.json");
+    let text = std::fs::read_to_string(&path).expect("checkpoint");
+    let mut cp = CampaignCheckpoint::parse(&text).expect("checkpoint parses");
+    assert_eq!(cp.economy_scenario, "all");
+    cp.economy_scenario = scenario.to_string();
+    std::fs::write(&path, cp.to_json_pretty()).expect("rewrite checkpoint");
+    dir
+}
+
+/// Resume `dir` and return the message of the `Invalid` error it must
+/// fail with.
+fn refused_resume(dir: &Path) -> String {
+    let rec = telemetry::Recorder::new();
+    let _scope = rec.enter();
+    match Study::resume_from_with_workers(config(), dir, 1) {
+        Err(StoreError::Invalid(msg)) => msg,
+        other => panic!("expected Invalid, got {:?}", other.map(|_| "report")),
+    }
+}
+
+#[test]
+fn resume_refuses_an_unknown_economy_scenario() {
+    let dir = killed_store_naming("unknown", "no-such-scenario");
+    let msg = refused_resume(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(msg.contains("unknown economy scenario"), "got {msg:?}");
+}
+
+/// A known scenario that is not the one the WAL was written under: the
+/// rebuilt event stream cannot match the committed one.
+#[test]
+fn resume_refuses_a_swapped_economy_scenario() {
+    let dir = killed_store_naming("swapped", "escrow-basic");
+    let msg = refused_resume(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(msg.contains("economy event stream mismatch"), "got {msg:?}");
 }
 
 #[test]

@@ -92,8 +92,19 @@ fn loopback_campaign_matches_sim_campaign() {
 
 #[test]
 fn loopback_transport_reports_its_mode() {
-    // Provenance surface: the study records which wire it ran on.
+    // Provenance surface: the study's manifest records which wire it ran
+    // on. A `Study` always runs on the fabric; loopback crawls drive
+    // `CrawlCampaign` directly, as above.
     use acctrade::core::{Study, StudyConfig};
-    let study = Study::new(StudyConfig { seed: 1, scale: 0.01, iterations: 1, scam: Default::default() });
-    assert_eq!(study.transport_mode(), "sim");
+    let report =
+        Study::new(StudyConfig { seed: 1, scale: 0.01, iterations: 1, scam: Default::default() })
+            .run();
+    let modes: Vec<&str> = report
+        .telemetry
+        .events
+        .iter()
+        .filter(|e| e.name == "transport_mode")
+        .map(|e| e.detail.as_str())
+        .collect();
+    assert_eq!(modes, ["sim"]);
 }

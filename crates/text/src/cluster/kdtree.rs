@@ -1,8 +1,12 @@
-//! A KD-tree for radius and k-nearest-neighbor queries over dense points.
+//! A KD-tree for radius queries over dense points: DBSCAN's neighborhood
+//! index (the clusterer ablation's baseline).
 //!
-//! Both density clusterers need neighborhood queries; the KD-tree keeps
-//! them sub-quadratic on the deduplicated post corpus (thousands of points
-//! in 8–16 dimensions).
+//! Pruning only pays in low dimensions. In the 48 dimensions the
+//! scam-post pipeline clusters in, the expanding-radius k-th-neighbor
+//! search HDBSCAN used to run on this tree was slower than brute force, so
+//! HDBSCAN now computes its core distances by brute force. That search is
+//! kept under `#[cfg(test)]` as the brute-force kernel's differential
+//! oracle.
 
 /// A KD-tree built over borrowed points (rows of equal length).
 pub struct KdTree<'a> {
@@ -81,7 +85,11 @@ impl<'a> KdTree<'a> {
             }
         }
     }
+}
 
+/// The differential oracle for HDBSCAN's brute-force core distances.
+#[cfg(test)]
+impl KdTree<'_> {
     /// Distance to the k-th nearest neighbor of point `i` (excluding
     /// itself). Returns `f64::INFINITY` when fewer than `k` other points
     /// exist.

@@ -4,7 +4,7 @@
 //! * [`mod@hdbscan`] — full HDBSCAN: core distances → mutual
 //!   reachability → MST → condensed tree → excess-of-mass selection;
 //! * [`mod@kmeans`] — a k-means baseline used by the ablation bench;
-//! * [`kdtree`] — the spatial index both density algorithms share.
+//! * [`kdtree`] — DBSCAN's radius-query index.
 //!
 //! All algorithms are deterministic given their inputs (k-means takes a
 //! seed for initialization).

@@ -5,9 +5,93 @@
 //! corpus (lexically separated template families) a linear projection
 //! preserves the cluster structure the density clusterer needs, and PCA is
 //! deterministic and dependency-free.
+//!
+//! # Block layout and the bit-exactness contract
+//!
+//! Each power-iteration step makes two passes over the centered data: a
+//! dot product per row (`p = row · v`) and a scaled add per row
+//! (`w += p · row`). Row by row, every dot product is one sequential `f64`
+//! add chain, so the loop stalls on add latency. [`pca_reduce`] therefore
+//! stores the centered data once, flat, in blocks of `BLOCK` = 8 rows,
+//! each block transposed: row `r`, column `j` of a block sits at
+//! `j * BLOCK + r`. Per block, the kernel
+//!
+//! 1. runs the block's 8 dot products as independent chains, each
+//!    starting at `-0.0` (the start value of `f64`'s `Sum`) and adding
+//!    `row[j] * v[j]` over ascending `j`;
+//! 2. adds the block's rows into `w` in row order, `w[j]` held in a
+//!    register.
+//!
+//! Every output value thus sees exactly the IEEE-754 operations, in
+//! exactly the order, of the plain row-by-row loop, and the results are
+//! bit-identical to it (a test-only oracle keeps that loop; property tests
+//! compare `to_bits`). Keeping it so rules out `mul_add` and any
+//! reassociation. The zero rows padding the last block are never added
+//! into `w` either: the plain loop has no such terms, and adding `±0.0`
+//! is exact only while no `w[j]` holds `-0.0`. The final projection uses
+//! the same dot-product kernel.
 
 use foundation::rng::{Rng, RngExt, SeedableRng};
 use foundation::rng::ChaCha8Rng;
+
+/// Rows per block of the centered-data layout (see the module docs).
+const BLOCK: usize = 8;
+
+/// The centered data in the block layout of the module docs. Rows past
+/// `n` in the last block are zero padding.
+struct Blocked {
+    data: Vec<f64>,
+    n: usize,
+    dim: usize,
+}
+
+impl Blocked {
+    /// Center `data` on `mean` into the block layout.
+    fn center(data: &[Vec<f32>], mean: &[f64]) -> Blocked {
+        let (n, dim) = (data.len(), mean.len());
+        let mut flat = vec![0.0f64; n.div_ceil(BLOCK) * BLOCK * dim];
+        for (i, row) in data.iter().enumerate() {
+            let block = &mut flat[(i / BLOCK) * BLOCK * dim..][..BLOCK * dim];
+            for (j, (&x, m)) in row.iter().zip(mean).enumerate() {
+                block[j * BLOCK + i % BLOCK] = f64::from(x) - m;
+            }
+        }
+        Blocked { data: flat, n, dim }
+    }
+
+    /// Each block with its number of real (non-padding) rows.
+    fn blocks(&self) -> impl Iterator<Item = (&[f64], usize)> + '_ {
+        let len = BLOCK * self.dim;
+        (0..self.n.div_ceil(BLOCK)).map(move |b| {
+            let rows = (self.n - b * BLOCK).min(BLOCK);
+            (&self.data[b * len..][..len], rows)
+        })
+    }
+}
+
+/// `row · v` for every row of one block, as `BLOCK` independent chains.
+fn project(block: &[f64], v: &[f64]) -> [f64; BLOCK] {
+    let mut acc = [-0.0f64; BLOCK];
+    for (col, &vj) in block.chunks_exact(BLOCK).zip(v) {
+        for (a, &x) in acc.iter_mut().zip(col) {
+            *a += x * vj;
+        }
+    }
+    acc
+}
+
+/// `w[j] += proj[r] * row_r[j]` for the block's first `proj.len()` rows,
+/// in row order, `w[j]` held in a register.
+#[inline(always)]
+fn add_rows(w: &mut [f64], block: &[f64], proj: &[f64]) {
+    for (wj, col) in w.iter_mut().zip(block.chunks_exact(BLOCK)) {
+        let mut acc = *wj;
+        for (p, x) in proj.iter().zip(col) {
+            acc += p * x;
+        }
+        *wj = acc;
+    }
+}
 
 /// Reduce `data` (rows = points) to `k` principal components.
 ///
@@ -34,23 +118,26 @@ pub fn pca_reduce(data: &[Vec<f32>], k: usize, seed: u64) -> Vec<Vec<f32>> {
     for m in &mut mean {
         *m /= n as f64;
     }
-    let centered: Vec<Vec<f64>> = data
-        .iter()
-        .map(|row| row.iter().zip(&mean).map(|(&x, m)| f64::from(x) - m).collect())
-        .collect();
+    let centered = Blocked::center(data, &mean);
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9CA0_0000_0000_000A);
     let mut components: Vec<Vec<f64>> = Vec::with_capacity(k);
+    let mut w = vec![0.0f64; dim];
+    let mut next = vec![0.0f64; dim];
 
     for _ in 0..k {
         let mut v = random_unit(&mut rng, dim);
         for _iter in 0..60 {
-            // w = C^T C v  computed as sum over rows without materializing C^T C.
-            let mut w = vec![0.0f64; dim];
-            for row in &centered {
-                let proj: f64 = row.iter().zip(&v).map(|(a, b)| a * b).sum();
-                for (wi, &ri) in w.iter_mut().zip(row) {
-                    *wi += proj * ri;
+            // w = C^T C v  computed block by block without materializing C^T C.
+            w.fill(0.0);
+            for (block, rows) in centered.blocks() {
+                let proj = project(block, &v);
+                // A full block passes the whole array so the row loop
+                // unrolls; a partial one passes only its real rows.
+                if rows == BLOCK {
+                    add_rows(&mut w, block, &proj);
+                } else {
+                    add_rows(&mut w, block, &proj[..rows]);
                 }
             }
             // Deflate previously found components.
@@ -65,7 +152,9 @@ pub fn pca_reduce(data: &[Vec<f32>], k: usize, seed: u64) -> Vec<Vec<f32>> {
                 // Degenerate direction (rank exhausted); keep previous v.
                 break;
             }
-            let mut next: Vec<f64> = w.into_iter().map(|x| x / norm).collect();
+            for (x, &wi) in next.iter_mut().zip(&w) {
+                *x = wi / norm;
+            }
             // Convergence check.
             let delta: f64 = next
                 .iter()
@@ -80,15 +169,15 @@ pub fn pca_reduce(data: &[Vec<f32>], k: usize, seed: u64) -> Vec<Vec<f32>> {
         components.push(v);
     }
 
-    centered
-        .iter()
-        .map(|row| {
-            components
-                .iter()
-                .map(|c| row.iter().zip(c).map(|(a, b)| a * b).sum::<f64>() as f32)
-                .collect()
-        })
-        .collect()
+    let mut out: Vec<Vec<f32>> = (0..n).map(|_| Vec::with_capacity(k)).collect();
+    for ((block, rows), out) in centered.blocks().zip(out.chunks_mut(BLOCK)) {
+        for c in &components {
+            for (row, p) in out.iter_mut().zip(&project(block, c)[..rows]) {
+                row.push(*p as f32);
+            }
+        }
+    }
+    out
 }
 
 fn random_unit(rng: &mut impl Rng, dim: usize) -> Vec<f64> {
@@ -98,6 +187,90 @@ fn random_unit(rng: &mut impl Rng, dim: usize) -> Vec<f64> {
         if n > 1e-9 {
             return v.into_iter().map(|x| x / n).collect();
         }
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    //! The row-by-row power iteration [`super::pca_reduce`] replaced, kept
+    //! verbatim as the differential oracle for its block kernel.
+
+    use super::random_unit;
+    use foundation::rng::{ChaCha8Rng, SeedableRng};
+
+    pub fn pca_reduce(data: &[Vec<f32>], k: usize, seed: u64) -> Vec<Vec<f32>> {
+        assert!(!data.is_empty(), "no data");
+        assert!(k > 0, "k must be positive");
+        let dim = data[0].len();
+        assert!(data.iter().all(|r| r.len() == dim), "ragged rows");
+        let k = k.min(dim);
+        let n = data.len();
+
+        // Center the data.
+        let mut mean = vec![0.0f64; dim];
+        for row in data {
+            for (m, &x) in mean.iter_mut().zip(row) {
+                *m += f64::from(x);
+            }
+        }
+        for m in &mut mean {
+            *m /= n as f64;
+        }
+        let centered: Vec<Vec<f64>> = data
+            .iter()
+            .map(|row| row.iter().zip(&mean).map(|(&x, m)| f64::from(x) - m).collect())
+            .collect();
+
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9CA0_0000_0000_000A);
+        let mut components: Vec<Vec<f64>> = Vec::with_capacity(k);
+
+        for _ in 0..k {
+            let mut v = random_unit(&mut rng, dim);
+            for _iter in 0..60 {
+                // w = C^T C v  computed as sum over rows without materializing C^T C.
+                let mut w = vec![0.0f64; dim];
+                for row in &centered {
+                    let proj: f64 = row.iter().zip(&v).map(|(a, b)| a * b).sum();
+                    for (wi, &ri) in w.iter_mut().zip(row) {
+                        *wi += proj * ri;
+                    }
+                }
+                // Deflate previously found components.
+                for c in &components {
+                    let d: f64 = w.iter().zip(c).map(|(a, b)| a * b).sum();
+                    for (wi, &ci) in w.iter_mut().zip(c) {
+                        *wi -= d * ci;
+                    }
+                }
+                let norm: f64 = w.iter().map(|x| x * x).sum::<f64>().sqrt();
+                if norm < 1e-12 {
+                    // Degenerate direction (rank exhausted); keep previous v.
+                    break;
+                }
+                let mut next: Vec<f64> = w.into_iter().map(|x| x / norm).collect();
+                // Convergence check.
+                let delta: f64 = next
+                    .iter()
+                    .zip(&v)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max);
+                std::mem::swap(&mut v, &mut next);
+                if delta < 1e-9 {
+                    break;
+                }
+            }
+            components.push(v);
+        }
+
+        centered
+            .iter()
+            .map(|row| {
+                components
+                    .iter()
+                    .map(|c| row.iter().zip(c).map(|(a, b)| a * b).sum::<f64>() as f32)
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -169,6 +342,28 @@ mod tests {
             reduced.iter().map(|r| (r[idx] - mean).powi(2)).sum::<f32>() / reduced.len() as f32
         };
         assert!(var(0) > var(1) * 10.0, "v0={} v1={}", var(0), var(1));
+    }
+
+    foundation::prop_check! {
+        /// The block kernel is bit-identical to the row-by-row oracle,
+        /// across partial last blocks (`n % 8 != 0`, `n < 8`), duplicated
+        /// rows, all-equal rows (the rank-exhausted break), grid rows and
+        /// `k > dim`.
+        fn block_kernel_matches_row_oracle_bit_for_bit(
+            n in 1usize..40,
+            dim in 1usize..24,
+            k in 1usize..26,
+            shape_seed in 0usize..4_000,
+            vals in foundation::check::vec(-50.0f32..50.0, 1..64),
+        ) {
+            let (shape, seed) = (shape_seed % 4, (shape_seed / 4) as u64);
+            let data = crate::testkit::shaped_points(n, dim, shape, &vals);
+            let k = 1 + (k - 1) % (dim + 2);
+            let bits = |rows: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+                rows.into_iter().map(|r| r.into_iter().map(f32::to_bits).collect()).collect()
+            };
+            assert_eq!(bits(pca_reduce(&data, k, seed)), bits(oracle::pca_reduce(&data, k, seed)));
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@
 #      block, a blocking call on a reactor path), each of which must
 #      drive the analyzer to a nonzero exit with the tree restored and
 #      re-proven clean afterwards; one bench pass (parallel_crawl,
-#      httpd, economy, store, lint, text) writes target/BENCH_report.json,
+#      httpd, economy, store, lint, text, html) writes target/BENCH_report.json,
 #      which must pass validate_manifest and sit inside
 #      BENCH_budget.json (with a deliberately degraded budget proven to
 #      fail the gate)
@@ -328,7 +328,8 @@ echo "ci: TRACE/ECONOMY artifacts pass validate_manifest schema checks"
 #     budget reads — the parallel-crawl speedup trajectory, httpd
 #     keep-alive throughput + latency percentiles, economy simulation
 #     throughput, store append/replay, the conformance scanner + graph
-#     resolution, and the scam pipeline's PCA and HDBSCAN kernels — and
+#     resolution, the scam pipeline's PCA and HDBSCAN kernels, and the
+#     crawl's HTML parse, page render and offer extraction — and
 #     the report must pass validate_manifest and sit inside the
 #     committed perf budget, with a deliberately degraded budget proven
 #     to fail.
@@ -399,12 +400,12 @@ echo "ci: all three injected violations caught; restored tree scans clean"
 echo
 echo "==> BENCH_REPORT_PATH=target/BENCH_report.json cargo bench --offline -p acctrade-bench" \
      "--bench parallel_crawl --bench httpd --bench economy --bench store --bench lint" \
-     "--bench text"
+     "--bench text --bench html"
 # Absolute path: cargo runs bench binaries from the package directory,
 # not the workspace root.
 BENCH_REPORT_PATH="$PWD/target/BENCH_report.json" cargo bench --offline -p acctrade-bench \
     --bench parallel_crawl --bench httpd --bench economy --bench store --bench lint \
-    --bench text || fail=1
+    --bench text --bench html || fail=1
 if [ "$fail" -ne 0 ] || [ ! -f target/BENCH_report.json ]; then
     echo
     echo "ci: FAILED (bench pass did not record target/BENCH_report.json)"
@@ -412,7 +413,8 @@ if [ "$fail" -ne 0 ] || [ ! -f target/BENCH_report.json ]; then
 fi
 for entry in httpd/keepalive_throughput economy/scenario_all_campaign \
              graph_resolution/resolve_workspace text/pca_reduce_192_48 \
-             text/hdbscan_48d; do
+             text/hdbscan_48d html/parse_offer_pages html/render_offer_pages \
+             crawler/extract_offer_pages; do
     if ! grep -q "\"$entry\"" target/BENCH_report.json; then
         echo
         echo "ci: FAILED (bench pass did not record $entry in target/BENCH_report.json)"
@@ -426,7 +428,7 @@ if [ "$fail" -ne 0 ]; then
     echo "ci: FAILED (target/BENCH_report.json did not pass schema validation)"
     exit 1
 fi
-echo "ci: bench pass recorded parallel-crawl, httpd, economy, store, lint and text entries"
+echo "ci: bench pass recorded parallel-crawl, httpd, economy, store, lint, text and html entries"
 
 run cargo run --release --offline -p acctrade-bench --bin bench_budget -- \
     target/BENCH_report.json BENCH_budget.json || fail=1

@@ -9,6 +9,7 @@ use crate::record::OfferRecord;
 use acctrade_html::{parse, Document, Selector};
 use acctrade_market::config::MarketplaceId;
 use acctrade_market::site::Dialect;
+use std::sync::LazyLock;
 
 /// Links discovered on a listing-index page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,14 +20,21 @@ pub struct IndexPage {
     pub next_path: Option<String>,
 }
 
+/// Compile a selector literal.
+pub(crate) fn sel(s: &str) -> Selector {
+    Selector::parse(s).expect("static selector") // conformance: allow(panic-policy) — callers pass valid selector literals, exercised in tests
+}
+
+/// Every link: index, storefront and forum pages all navigate by `a`.
+pub(crate) static LINKS: LazyLock<Selector> = LazyLock::new(|| sel("a"));
+
 /// Parse a listing-index page (all dialects share link structure enough
 /// for one pass: any link to `/offer/` counts, `a.next` paginates).
 pub fn parse_index(html: &str) -> IndexPage {
     let doc = parse(html);
-    let links = doc.select(&Selector::parse("a").expect("static selector")); // conformance: allow(panic-policy) — selector literal is valid
     let mut offer_paths = Vec::new();
     let mut next_path = None;
-    for a in links {
+    for a in doc.select(&LINKS) {
         let Some(href) = a.attr("href") else { continue };
         if href.starts_with("/offer/") {
             offer_paths.push(href.to_string());
@@ -40,7 +48,7 @@ pub fn parse_index(html: &str) -> IndexPage {
 /// Parse a storefront page into the platform listing paths it links.
 pub fn parse_storefront(html: &str) -> Vec<String> {
     let doc = parse(html);
-    doc.select(&Selector::parse("a").expect("static selector")) // conformance: allow(panic-policy) — selector literal is valid
+    doc.select(&LINKS)
         .into_iter()
         .filter_map(|a| a.attr("href"))
         .filter(|h| h.starts_with("/listings/"))
@@ -107,42 +115,86 @@ pub fn parse_offer(market: MarketplaceId, html: &str) -> OfferRecord {
     record
 }
 
-fn sel(s: &str) -> Selector {
-    Selector::parse(s).expect("static selector") // conformance: allow(panic-policy) — callers pass valid selector literals, exercised in tests
+/// Text of the first match, when non-empty.
+pub(crate) fn text_of(doc: &Document<'_>, selector: &Selector) -> Option<String> {
+    doc.select_first(selector).map(|e| e.text()).filter(|t| !t.is_empty())
 }
 
-fn text_of(doc: &Document, selector: &str) -> Option<String> {
-    doc.select_first(&sel(selector)).map(|e| e.text()).filter(|t| !t.is_empty())
+fn href_of(doc: &Document<'_>, selector: &Selector) -> Option<String> {
+    doc.select_first(selector).and_then(|e| e.attr("href").map(str::to_string))
 }
 
-fn extract_cards(doc: &Document, r: &mut OfferRecord) {
-    r.title = text_of(doc, "h1.offer-title").unwrap_or_default();
-    r.price_usd = text_of(doc, "span.price").as_deref().and_then(parse_price);
-    r.platform = text_of(doc, "span.platform");
-    r.seller = doc.select_first(&sel(".seller a")).map(|e| e.text());
-    r.seller_country = text_of(doc, ".seller .country");
-    r.category = text_of(doc, "span.category");
-    r.claimed_followers = text_of(doc, "span.followers").and_then(|t| t.parse().ok());
-    r.claims_verified = doc.select_first(&sel("span.badge-verified")).is_some();
-    r.monthly_revenue_usd = text_of(doc, "span.revenue").as_deref().and_then(parse_price);
-    r.income_source = text_of(doc, "span.income-source");
-    r.description = text_of(doc, "div.description");
-    r.profile_link = doc
-        .select_first(&sel("a.profile-link"))
-        .and_then(|e| e.attr("href").map(str::to_string));
+/// Per-field offer-page selectors of the card-grid and flat-list
+/// dialects, compiled once.
+struct FieldPlan {
+    title: Selector,
+    price: Selector,
+    platform: Selector,
+    seller: Selector,
+    country: Selector,
+    category: Selector,
+    followers: Selector,
+    verified: Selector,
+    revenue: Selector,
+    income_source: Selector,
+    description: Selector,
+    profile: Selector,
 }
 
-fn extract_table(doc: &Document, r: &mut OfferRecord) {
-    r.title = text_of(doc, "h1").unwrap_or_default();
-    // <dl> of dt/dd pairs.
-    let dl = doc.select_first(&sel("#offer-fields"));
-    if let Some(dl) = dl {
-        let children = dl.children();
-        let mut i = 0;
-        while i + 1 < children.len() {
-            let key = children[i].text();
-            let value = children[i + 1].text();
-            match key.as_str() {
+/// The card-grid dialect marks each field with a class.
+static CARDS: LazyLock<FieldPlan> = LazyLock::new(|| FieldPlan {
+    title: sel("h1.offer-title"),
+    price: sel("span.price"),
+    platform: sel("span.platform"),
+    seller: sel(".seller a"),
+    country: sel(".seller .country"),
+    category: sel("span.category"),
+    followers: sel("span.followers"),
+    verified: sel("span.badge-verified"),
+    revenue: sel("span.revenue"),
+    income_source: sel("span.income-source"),
+    description: sel("div.description"),
+    profile: sel("a.profile-link"),
+});
+
+fn extract_cards(doc: &Document<'_>, r: &mut OfferRecord) {
+    let p = &*CARDS;
+    r.title = text_of(doc, &p.title).unwrap_or_default();
+    r.price_usd = text_of(doc, &p.price).as_deref().and_then(parse_price);
+    r.platform = text_of(doc, &p.platform);
+    r.seller = doc.select_first(&p.seller).map(|e| e.text());
+    r.seller_country = text_of(doc, &p.country);
+    r.category = text_of(doc, &p.category);
+    r.claimed_followers = text_of(doc, &p.followers).and_then(|t| t.parse().ok());
+    r.claims_verified = doc.select_first(&p.verified).is_some();
+    r.monthly_revenue_usd = text_of(doc, &p.revenue).as_deref().and_then(parse_price);
+    r.income_source = text_of(doc, &p.income_source);
+    r.description = text_of(doc, &p.description);
+    r.profile_link = href_of(doc, &p.profile);
+}
+
+/// The table dialect's offer-page selectors, compiled once.
+struct TablePlan {
+    title: Selector,
+    fields: Selector,
+    profile: Selector,
+}
+
+static TABLE: LazyLock<TablePlan> = LazyLock::new(|| TablePlan {
+    title: sel("h1"),
+    fields: sel("#offer-fields"),
+    profile: sel("a.profile"),
+});
+
+fn extract_table(doc: &Document<'_>, r: &mut OfferRecord) {
+    let p = &*TABLE;
+    r.title = text_of(doc, &p.title).unwrap_or_default();
+    // <dl> of dt/dd pairs; an unpaired last child is ignored.
+    if let Some(dl) = doc.select_first(&p.fields) {
+        let mut children = dl.children();
+        while let (Some(key), Some(value)) = (children.next(), children.next()) {
+            let value = value.text();
+            match key.text().as_str() {
                 "Price" => r.price_usd = parse_price(&value),
                 "Platform" => r.platform = Some(value),
                 "Seller" => r.seller = Some(value),
@@ -155,34 +207,41 @@ fn extract_table(doc: &Document, r: &mut OfferRecord) {
                 "Description" => r.description = Some(value),
                 _ => {}
             }
-            i += 2;
         }
     }
-    r.profile_link = doc
-        .select_first(&sel("a.profile"))
-        .and_then(|e| e.attr("href").map(str::to_string));
+    r.profile_link = href_of(doc, &p.profile);
 }
 
-fn extract_list(doc: &Document, r: &mut OfferRecord) {
-    let field = |name: &str| {
-        doc.select_first(&sel(&format!("[data-field={name}]")))
-            .map(|e| e.text())
-            .filter(|t| !t.is_empty())
-    };
-    r.title = field("title").unwrap_or_default();
-    r.price_usd = field("price").as_deref().and_then(parse_price);
-    r.platform = field("platform");
-    r.seller = field("seller");
-    r.seller_country = field("country");
-    r.category = field("category");
-    r.claimed_followers = field("followers").and_then(|t| t.parse().ok());
-    r.claims_verified = field("verified").as_deref() == Some("true");
-    r.monthly_revenue_usd = field("revenue").as_deref().and_then(parse_price);
-    r.income_source = field("income-source");
-    r.description = field("description");
-    r.profile_link = doc
-        .select_first(&sel("a[data-field=profile]"))
-        .and_then(|e| e.attr("href").map(str::to_string));
+/// The flat-list dialect marks each field `[data-field=…]`.
+static LIST: LazyLock<FieldPlan> = LazyLock::new(|| FieldPlan {
+    title: sel("[data-field=title]"),
+    price: sel("[data-field=price]"),
+    platform: sel("[data-field=platform]"),
+    seller: sel("[data-field=seller]"),
+    country: sel("[data-field=country]"),
+    category: sel("[data-field=category]"),
+    followers: sel("[data-field=followers]"),
+    verified: sel("[data-field=verified]"),
+    revenue: sel("[data-field=revenue]"),
+    income_source: sel("[data-field=income-source]"),
+    description: sel("[data-field=description]"),
+    profile: sel("a[data-field=profile]"),
+});
+
+fn extract_list(doc: &Document<'_>, r: &mut OfferRecord) {
+    let p = &*LIST;
+    r.title = text_of(doc, &p.title).unwrap_or_default();
+    r.price_usd = text_of(doc, &p.price).as_deref().and_then(parse_price);
+    r.platform = text_of(doc, &p.platform);
+    r.seller = text_of(doc, &p.seller);
+    r.seller_country = text_of(doc, &p.country);
+    r.category = text_of(doc, &p.category);
+    r.claimed_followers = text_of(doc, &p.followers).and_then(|t| t.parse().ok());
+    r.claims_verified = text_of(doc, &p.verified).as_deref() == Some("true");
+    r.monthly_revenue_usd = text_of(doc, &p.revenue).as_deref().and_then(parse_price);
+    r.income_source = text_of(doc, &p.income_source);
+    r.description = text_of(doc, &p.description);
+    r.profile_link = href_of(doc, &p.profile);
 }
 
 #[cfg(test)]

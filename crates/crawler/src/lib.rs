@@ -31,6 +31,8 @@
 //!   interrupted campaign resumes byte-identically.
 
 pub mod crawl;
+#[cfg(test)]
+mod differential;
 pub mod extract;
 pub mod frontier;
 pub mod merge;

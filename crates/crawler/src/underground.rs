@@ -11,12 +11,14 @@
 //! [`UndergroundCollector`] drives a *manual-persona* client over a Tor
 //! circuit through exactly that procedure.
 
+use crate::extract::{sel, text_of, LINKS};
 use crate::record::UndergroundRecord;
 use acctrade_html::{parse, Selector};
 use acctrade_net::client::Client;
 use acctrade_net::http::Status;
 use acctrade_social::platform::{Platform, ALL_PLATFORMS};
 use std::collections::BTreeSet;
+use std::sync::LazyLock;
 
 /// §3.2's collection caps.
 pub(crate) const MAX_PAGES: usize = 5;
@@ -160,9 +162,9 @@ impl<'a> UndergroundCollector<'a> {
     }
 }
 
-fn extract_thread_links(html: &str) -> Vec<String> {
+pub(crate) fn extract_thread_links(html: &str) -> Vec<String> {
     let doc = parse(html);
-    doc.select(&Selector::parse("a").expect("static selector")) // conformance: allow(panic-policy) — selector literal is valid
+    doc.select(&LINKS)
         .into_iter()
         .filter_map(|a| a.attr("href"))
         .filter(|h| h.starts_with("/thread/"))
@@ -170,30 +172,53 @@ fn extract_thread_links(html: &str) -> Vec<String> {
         .collect()
 }
 
+/// The thread page's selectors, compiled once.
+struct ThreadPlan {
+    title: Selector,
+    body: Selector,
+    author: Selector,
+    platform: Selector,
+    date: Selector,
+    replies: Selector,
+    price: Selector,
+    quantity: Selector,
+}
+
+static THREAD: LazyLock<ThreadPlan> = LazyLock::new(|| ThreadPlan {
+    title: sel(".title"),
+    body: sel(".body"),
+    author: sel(".author"),
+    platform: sel(".platform"),
+    date: sel(".date"),
+    replies: sel(".replies"),
+    price: sel(".price"),
+    quantity: sel(".quantity"),
+});
+
 /// Parse one thread page into a record (the §4.2 fields; "not all fields
 /// were consistently available across forums").
-fn parse_thread(market: &str, url: &str, html: &str) -> Option<UndergroundRecord> {
+pub(crate) fn parse_thread(market: &str, url: &str, html: &str) -> Option<UndergroundRecord> {
     let doc = parse(html);
-    let sel = |s: &str| Selector::parse(s).expect("static selector"); // conformance: allow(panic-policy) — callers pass valid selector literals
-    let text = |s: &str| doc.select_first(&sel(s)).map(|e| e.text()).filter(|t| !t.is_empty());
-    let title = text(".title")?;
+    let plan = &*THREAD;
+    let text = |s: &Selector| text_of(&doc, s);
+    let title = text(&plan.title)?;
     Some(UndergroundRecord {
         market: market.to_string(),
         url: url.to_string(),
         title,
-        body: text(".body").unwrap_or_default(),
-        author: text(".author").unwrap_or_default(),
-        platform: text(".platform").and_then(|p| Platform::parse(&p)).map(|p| p.name().to_string()),
-        published_unix: text(".date").and_then(|d| parse_date(&d)),
-        replies: text(".replies").and_then(|r| r.parse().ok()),
-        price_usd: text(".price").as_deref().and_then(crate::extract::parse_price),
-        quantity: text(".quantity").and_then(|q| q.parse().ok()),
+        body: text(&plan.body).unwrap_or_default(),
+        author: text(&plan.author).unwrap_or_default(),
+        platform: text(&plan.platform).and_then(|p| Platform::parse(&p)).map(|p| p.name().to_string()),
+        published_unix: text(&plan.date).and_then(|d| parse_date(&d)),
+        replies: text(&plan.replies).and_then(|r| r.parse().ok()),
+        price_usd: text(&plan.price).as_deref().and_then(crate::extract::parse_price),
+        quantity: text(&plan.quantity).and_then(|q| q.parse().ok()),
         screenshot: true, // the paper screenshotted every posting
     })
 }
 
 /// Parse `YYYY-MM-DD` into unix seconds.
-fn parse_date(s: &str) -> Option<i64> {
+pub(crate) fn parse_date(s: &str) -> Option<i64> {
     let mut parts = s.split('-');
     let y: i32 = parts.next()?.parse().ok()?;
     let m: u32 = parts.next()?.parse().ok()?;

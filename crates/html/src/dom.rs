@@ -1,7 +1,17 @@
-//! An arena-backed DOM tree with a builder API and a renderer.
+//! An arena DOM in document order with parent links, and a builder that
+//! writes page HTML straight into a `String`.
+//!
+//! The parser appends every node to the arena in source order, so the
+//! arena *is* the document order, and each node's subtree is the
+//! contiguous range from the node to its recorded `end`. Walking a
+//! subtree, listing children, and finding the first match are plain index
+//! scans; a node's parent is one field away.
 
 use crate::escape::{escape_attr, escape_text};
 use crate::select::Selector;
+use std::borrow::Cow;
+use std::fmt;
+use std::ops::Range;
 
 /// Index of a node in its document's arena.
 pub type NodeId = usize;
@@ -10,74 +20,108 @@ pub type NodeId = usize;
 pub const VOID_ELEMENTS: &[&str] =
     &["br", "hr", "img", "input", "meta", "link", "area", "base", "col", "embed", "source", "wbr"];
 
-/// One DOM node.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Node {
-    /// An element: tag name, attributes in source order, child node ids.
-    Element {
-        /// Tag.
-        tag: String,
-        /// Attrs.
-        attrs: Vec<(String, String)>,
-        /// Children.
-        children: Vec<NodeId>,
-    },
-    /// A text node (unescaped content).
-    Text(String),
-    /// A comment (`<!-- ... -->`).
-    Comment(String),
-}
+/// An attribute: lowercase name and unescaped value.
+pub(crate) type Attr<'a> = (Cow<'a, str>, Cow<'a, str>);
 
-/// A parsed or built HTML document.
-///
-/// Nodes live in an arena; the document root is a virtual element that holds
-/// top-level nodes. Use [`Document::select`] to query, [`Document::render`]
-/// to serialize.
+/// One DOM node. Strings borrow from the parsed input unless decoding an
+/// entity or lowercasing a name changed them.
 #[derive(Debug, Clone)]
-pub struct Document {
-    nodes: Vec<Node>,
-    root_children: Vec<NodeId>,
+pub(crate) enum Node<'a> {
+    /// An element: lowercase tag, and its attributes in source order as a
+    /// range of the document's attribute vector.
+    Element { tag: Cow<'a, str>, attrs: Range<usize> },
+    /// A text node (unescaped content).
+    Text(Cow<'a, str>),
+    /// A comment (`<!-- ... -->`).
+    Comment(&'a str),
 }
 
-impl Document {
-    /// An empty document.
-    pub fn new() -> Document {
-        Document { nodes: Vec::new(), root_children: Vec::new() }
+#[derive(Debug, Clone)]
+struct Slot<'a> {
+    node: Node<'a>,
+    parent: Option<NodeId>,
+    /// One past the node's last descendant: its subtree is `id..end`.
+    end: NodeId,
+}
+
+/// A parsed HTML document.
+///
+/// Nodes live in an arena in document order; top-level nodes have no
+/// parent. Use [`Document::select`] to query, [`Document::render`] to
+/// serialize. `Debug` prints each element's child ids, so two documents
+/// with the same tree print the same.
+#[derive(Clone, Default)]
+pub struct Document<'a> {
+    slots: Vec<Slot<'a>>,
+    attrs: Vec<Attr<'a>>,
+}
+
+impl<'a> Document<'a> {
+    pub(crate) fn with_capacity(nodes: usize) -> Document<'a> {
+        Document { slots: Vec::with_capacity(nodes), attrs: Vec::new() }
     }
 
     /// Number of nodes in the arena.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.slots.len()
     }
 
     /// `true` if the document holds no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.slots.is_empty()
     }
 
-    /// Access a node by id.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id]
+    pub(crate) fn node(&self, id: NodeId) -> &Node<'a> {
+        &self.slots[id].node
+    }
+
+    /// Append a node as the last child of `parent` (or as the last
+    /// top-level node). It has no descendants until [`Document::close`].
+    pub(crate) fn push(&mut self, node: Node<'a>, parent: Option<NodeId>) -> NodeId {
+        let id = self.slots.len();
+        self.slots.push(Slot { node, parent, end: id + 1 });
+        id
+    }
+
+    /// The attribute vector, which the parser appends an element's
+    /// attributes to before it pushes the element.
+    pub(crate) fn attrs_mut(&mut self) -> &mut Vec<Attr<'a>> {
+        &mut self.attrs
+    }
+
+    /// End element `id`: every node appended so far lies in its subtree.
+    pub(crate) fn close(&mut self, id: NodeId) {
+        self.slots[id].end = self.slots.len();
+    }
+
+    /// Tag and attributes of an element; `None` for text and comments.
+    pub(crate) fn element_parts(&self, id: NodeId) -> Option<(&str, &[Attr<'a>])> {
+        match &self.slots[id].node {
+            Node::Element { tag, attrs } => Some((tag, &self.attrs[attrs.clone()])),
+            _ => None,
+        }
+    }
+
+    /// Child node ids of `id`, in order.
+    fn children_of(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.siblings(id + 1, self.slots[id].end)
+    }
+
+    /// The nodes starting at `first` and each next sibling before `end`.
+    fn siblings(&self, first: NodeId, end: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let mut next = first;
+        std::iter::from_fn(move || {
+            let c = next;
+            (c < end).then(|| {
+                next = self.slots[c].end;
+                c
+            })
+        })
     }
 
     /// Top-level node ids.
-    pub fn roots(&self) -> &[NodeId] {
-        &self.root_children
-    }
-
-    pub(crate) fn push_node(&mut self, node: Node) -> NodeId {
-        self.nodes.push(node);
-        self.nodes.len() - 1
-    }
-
-    pub(crate) fn add_root(&mut self, id: NodeId) {
-        self.root_children.push(id);
-    }
-
-    pub(crate) fn add_child(&mut self, parent: NodeId, child: NodeId) {
-        if let Node::Element { children, .. } = &mut self.nodes[parent] {
-            children.push(child);
-        }
+    pub fn roots(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.siblings(0, self.slots.len())
     }
 
     /// Wrap a node id for ergonomic traversal.
@@ -85,25 +129,9 @@ impl Document {
         ElementRef { doc: self, id }
     }
 
-    /// All element ids in depth-first document order.
-    pub fn all_elements(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack: Vec<NodeId> = self.root_children.iter().rev().copied().collect();
-        while let Some(id) = stack.pop() {
-            if let Node::Element { children, .. } = &self.nodes[id] {
-                out.push(id);
-                for &c in children.iter().rev() {
-                    stack.push(c);
-                }
-            }
-        }
-        out
-    }
-
     /// Elements matching a selector, in document order.
     pub fn select(&self, selector: &Selector) -> Vec<ElementRef<'_>> {
-        self.all_elements()
-            .into_iter()
+        (0..self.len())
             .filter(|&id| selector.matches(self, id))
             .map(|id| self.element(id))
             .collect()
@@ -111,77 +139,104 @@ impl Document {
 
     /// First element matching a selector.
     pub fn select_first(&self, selector: &Selector) -> Option<ElementRef<'_>> {
-        self.all_elements()
-            .into_iter()
-            .find(|&id| selector.matches(self, id))
-            .map(|id| self.element(id))
+        (0..self.len()).find(|&id| selector.matches(self, id)).map(|id| self.element(id))
     }
 
-    /// Parent of `id`, if any (linear scan; documents here are page-sized).
+    /// Parent of `id`, if any.
     pub fn parent_of(&self, id: NodeId) -> Option<NodeId> {
-        self.all_ids_with_children()
-            .find(|(_, children)| children.contains(&id))
-            .map(|(pid, _)| pid)
-    }
-
-    fn all_ids_with_children(&self) -> impl Iterator<Item = (NodeId, Vec<NodeId>)> + '_ {
-        self.nodes.iter().enumerate().filter_map(|(i, n)| match n {
-            Node::Element { children, .. } => Some((i, children.clone())),
-            _ => None,
-        })
+        self.slots[id].parent
     }
 
     /// Serialize the document to HTML.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for &id in &self.root_children {
-            self.render_node(id, &mut out);
+        // Open non-void elements, innermost last.
+        let mut open: Vec<(NodeId, &str)> = Vec::new();
+        for (id, slot) in self.slots.iter().enumerate() {
+            while let Some(&(top, tag)) = open.last() {
+                if self.slots[top].end > id {
+                    break;
+                }
+                close_tag(&mut out, tag);
+                open.pop();
+            }
+            match &slot.node {
+                Node::Text(t) => escape_text(&mut out, t),
+                Node::Comment(c) => {
+                    out.push_str("<!--");
+                    out.push_str(c);
+                    out.push_str("-->");
+                }
+                Node::Element { tag, attrs } => {
+                    out.push('<');
+                    out.push_str(tag);
+                    for (k, v) in &self.attrs[attrs.clone()] {
+                        write_attr(&mut out, k, v);
+                    }
+                    out.push('>');
+                    if !VOID_ELEMENTS.contains(&&**tag) {
+                        open.push((id, tag));
+                    }
+                }
+            }
+        }
+        for &(_, tag) in open.iter().rev() {
+            close_tag(&mut out, tag);
         }
         out
     }
+}
 
-    fn render_node(&self, id: NodeId, out: &mut String) {
-        match &self.nodes[id] {
-            Node::Text(t) => out.push_str(&escape_text(t)),
-            Node::Comment(c) => {
-                out.push_str("<!--");
-                out.push_str(c);
-                out.push_str("-->");
+/// ` name="value"`, the value escaped. The name is written as given.
+fn write_attr(out: &mut String, name: &str, value: &str) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    escape_attr(out, value);
+    out.push('"');
+}
+
+fn close_tag(out: &mut String, tag: &str) {
+    out.push_str("</");
+    out.push_str(tag);
+    out.push('>');
+}
+
+impl fmt::Debug for Document<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Nodes<'d, 'a>(&'d Document<'a>);
+        struct NodeView<'d, 'a>(&'d Document<'a>, NodeId);
+        impl fmt::Debug for Nodes<'_, '_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries((0..self.0.len()).map(|id| NodeView(self.0, id))).finish()
             }
-            Node::Element { tag, attrs, children } => {
-                out.push('<');
-                out.push_str(tag);
-                for (k, v) in attrs {
-                    out.push(' ');
-                    out.push_str(k);
-                    out.push_str("=\"");
-                    out.push_str(&escape_attr(v));
-                    out.push('"');
-                }
-                out.push('>');
-                if !VOID_ELEMENTS.contains(&tag.as_str()) {
-                    for &c in children {
-                        self.render_node(c, out);
-                    }
-                    out.push_str("</");
-                    out.push_str(tag);
-                    out.push('>');
+        }
+        impl fmt::Debug for NodeView<'_, '_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let NodeView(doc, id) = *self;
+                match doc.node(id) {
+                    Node::Element { tag, attrs } => f
+                        .debug_struct("Element")
+                        .field("tag", tag)
+                        .field("attrs", &&doc.attrs[attrs.clone()])
+                        .field("children", &doc.children_of(id).collect::<Vec<_>>())
+                        .finish(),
+                    Node::Text(t) => f.debug_tuple("Text").field(t).finish(),
+                    Node::Comment(c) => f.debug_tuple("Comment").field(c).finish(),
                 }
             }
         }
-    }
-}
-
-impl Default for Document {
-    fn default() -> Self {
-        Document::new()
+        f.debug_struct("Document")
+            .field("nodes", &Nodes(self))
+            .field("root_children", &self.roots().collect::<Vec<_>>())
+            .finish()
     }
 }
 
 /// A borrowed view of an element node.
 #[derive(Debug, Clone, Copy)]
 pub struct ElementRef<'a> {
-    doc: &'a Document,
+    doc: &'a Document<'a>,
     id: NodeId,
 }
 
@@ -193,98 +248,75 @@ impl<'a> ElementRef<'a> {
 
     /// Tag name, lowercase.
     pub fn tag(&self) -> &'a str {
-        match self.doc.node(self.id) {
-            Node::Element { tag, .. } => tag,
-            _ => "",
-        }
+        self.doc.element_parts(self.id).map_or("", |(tag, _)| tag)
     }
 
     /// Attribute value by name.
     pub fn attr(&self, name: &str) -> Option<&'a str> {
-        match self.doc.node(self.id) {
-            Node::Element { attrs, .. } => attrs
-                .iter()
-                .find(|(k, _)| k.eq_ignore_ascii_case(name))
-                .map(|(_, v)| v.as_str()),
-            _ => None,
-        }
+        let (_, attrs) = self.doc.element_parts(self.id)?;
+        attrs.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| &**v)
     }
 
-    /// Space-separated class list.
-    pub fn classes(&self) -> Vec<&'a str> {
-        self.attr("class")
-            .map(|c| c.split_whitespace().collect())
-            .unwrap_or_default()
-    }
-
-    /// `true` if the element carries the class.
+    /// `true` if the element's space-separated class list holds `class`.
     pub fn has_class(&self, class: &str) -> bool {
-        self.classes().contains(&class)
+        self.attr("class").is_some_and(|c| c.split_whitespace().any(|have| have == class))
     }
 
-    /// Child element refs.
-    pub fn children(&self) -> Vec<ElementRef<'a>> {
-        match self.doc.node(self.id) {
-            Node::Element { children, .. } => children
-                .iter()
-                .filter(|&&c| matches!(self.doc.node(c), Node::Element { .. }))
-                .map(|&c| ElementRef { doc: self.doc, id: c })
-                .collect(),
-            _ => Vec::new(),
-        }
+    /// Child elements, in order.
+    pub fn children(&self) -> impl Iterator<Item = ElementRef<'a>> + 'a {
+        let doc = self.doc;
+        doc.children_of(self.id)
+            .filter(move |&c| matches!(doc.node(c), Node::Element { .. }))
+            .map(move |id| ElementRef { doc, id })
     }
 
-    /// Concatenated text content of the subtree, whitespace-normalized.
+    /// The subtree's nodes after this one, in document order.
+    fn descendants(&self) -> Range<NodeId> {
+        self.id + 1..self.doc.slots[self.id].end
+    }
+
+    /// Concatenated text content of the subtree, whitespace-normalized:
+    /// its text nodes' words, in order, joined by single spaces.
     pub fn text(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        self.collect_text(self.id, &mut parts);
-        parts.join(" ").split_whitespace().collect::<Vec<_>>().join(" ")
-    }
-
-    fn collect_text(&self, id: NodeId, out: &mut Vec<String>) {
-        match self.doc.node(id) {
-            Node::Text(t) => out.push(t.clone()),
-            Node::Element { children, .. } => {
-                for &c in children {
-                    self.collect_text(c, out);
-                }
-            }
-            Node::Comment(_) => {}
-        }
-    }
-
-    /// Descendant elements matching a selector, in document order.
-    pub fn select(&self, selector: &Selector) -> Vec<ElementRef<'a>> {
-        let mut out = Vec::new();
-        let mut stack: Vec<NodeId> = match self.doc.node(self.id) {
-            Node::Element { children, .. } => children.iter().rev().copied().collect(),
-            _ => Vec::new(),
-        };
-        while let Some(id) = stack.pop() {
-            if let Node::Element { children, .. } = self.doc.node(id) {
-                if selector.matches(self.doc, id) {
-                    out.push(ElementRef { doc: self.doc, id });
-                }
-                for &c in children.iter().rev() {
-                    stack.push(c);
+        let mut out = String::new();
+        for slot in &self.doc.slots[self.id..self.doc.slots[self.id].end] {
+            if let Node::Text(t) = &slot.node {
+                for word in t.split_whitespace() {
+                    if !out.is_empty() {
+                        out.push(' ');
+                    }
+                    out.push_str(word);
                 }
             }
         }
         out
     }
 
-    /// First descendant matching a selector.
-    pub fn select_first(&self, selector: &Selector) -> Option<ElementRef<'a>> {
-        self.select(selector).into_iter().next()
+    /// Descendant elements matching a selector, in document order.
+    pub fn select(&self, selector: &Selector) -> Vec<ElementRef<'a>> {
+        let doc = self.doc;
+        self.descendants()
+            .filter(|&id| selector.matches(doc, id))
+            .map(|id| ElementRef { doc, id })
+            .collect()
     }
 
-    /// The document this element belongs to.
-    pub fn document(&self) -> &'a Document {
-        self.doc
+    /// First descendant matching a selector.
+    pub fn select_first(&self, selector: &Selector) -> Option<ElementRef<'a>> {
+        let doc = self.doc;
+        self.descendants().find(|&id| selector.matches(doc, id)).map(|id| ElementRef { doc, id })
     }
 }
 
-/// A fluent builder for constructing documents in marketplace templates.
+/// Writes page HTML into one `String` as the template calls arrive: a
+/// start tag when an element opens, escaped text, and a closing tag when
+/// it closes.
+///
+/// Its output is what building the tree first and then rendering it
+/// would give: an attribute always lands in its element's start tag,
+/// even when set after the element's content; nothing inside a void
+/// element is written, nor a void element's closing tag; and
+/// [`Builder::finish`] closes every element still open.
 ///
 /// ```
 /// use acctrade_html::dom::Builder;
@@ -293,73 +325,121 @@ impl<'a> ElementRef<'a> {
 /// b.open("div").attr("class", "offer");
 /// b.open("a").attr("href", "/offer/1").text("TikTok 2.1M").close();
 /// b.close();
-/// let html = b.finish().render();
-/// assert!(html.contains("class=\"offer\""));
+/// let html = b.finish();
+/// assert_eq!(html, r#"<div class="offer"><a href="/offer/1">TikTok 2.1M</a></div>"#);
 /// ```
+#[derive(Default)]
 pub struct Builder {
-    doc: Document,
-    stack: Vec<NodeId>,
+    out: String,
+    /// The lowercase tags of the open elements, concatenated.
+    tags: String,
+    open: Vec<Open>,
+}
+
+/// An element the builder has opened and not yet closed.
+struct Open {
+    /// Where its tag starts in `Builder::tags`.
+    tag_at: usize,
+    /// Offset of its start tag's `>` in the output, once written.
+    gt: Option<usize>,
+    void: bool,
+    /// It lies inside a void element, so none of it is written.
+    muted: bool,
 }
 
 impl Builder {
     /// Start building an empty document.
     pub fn new() -> Builder {
-        Builder { doc: Document::new(), stack: Vec::new() }
+        Builder::default()
+    }
+
+    /// Make room for content in the innermost open element: write its
+    /// start tag's `>` if still pending. `false` when content there is
+    /// not rendered (inside a void element).
+    fn content(&mut self) -> bool {
+        match self.open.last_mut() {
+            None => true,
+            Some(top) if top.void || top.muted => false,
+            Some(top) => {
+                if top.gt.is_none() {
+                    top.gt = Some(self.out.len());
+                    self.out.push('>');
+                }
+                true
+            }
+        }
     }
 
     /// Open an element and descend into it.
     pub fn open(&mut self, tag: &str) -> &mut Builder {
-        let id = self.doc.push_node(Node::Element {
-            tag: tag.to_ascii_lowercase(),
-            attrs: Vec::new(),
-            children: Vec::new(),
-        });
-        match self.stack.last() {
-            Some(&parent) => self.doc.add_child(parent, id),
-            None => self.doc.add_root(id),
+        let muted = !self.content();
+        let tag_at = self.tags.len();
+        self.tags.push_str(tag);
+        self.tags[tag_at..].make_ascii_lowercase();
+        let tag = &self.tags[tag_at..];
+        if !muted {
+            self.out.push('<');
+            self.out.push_str(tag);
         }
-        self.stack.push(id);
+        let void = VOID_ELEMENTS.contains(&tag);
+        self.open.push(Open { tag_at, gt: None, void, muted });
         self
     }
 
     /// Set an attribute on the innermost open element.
-    pub fn attr(&mut self, name: &str, value: impl Into<String>) -> &mut Builder {
-        if let Some(&id) = self.stack.last() {
-            if let Node::Element { attrs, .. } = &mut self.doc.nodes[id] {
-                attrs.push((name.to_ascii_lowercase(), value.into()));
-            }
+    pub fn attr(&mut self, name: &str, value: impl AsRef<str>) -> &mut Builder {
+        let Some(top) = self.open.last_mut() else { return self };
+        if top.muted {
+            return self;
+        }
+        let at = self.out.len();
+        write_attr(&mut self.out, name, value.as_ref());
+        self.out[at + 1..at + 1 + name.len()].make_ascii_lowercase();
+        if let Some(gt) = top.gt {
+            // Set after the element's content: move it into the start tag.
+            let attr = self.out.split_off(at);
+            self.out.insert_str(gt, &attr);
+            top.gt = Some(gt + attr.len());
         }
         self
     }
 
-    /// Append a text node to the innermost open element.
-    pub fn text(&mut self, content: impl Into<String>) -> &mut Builder {
-        let id = self.doc.push_node(Node::Text(content.into()));
-        match self.stack.last() {
-            Some(&parent) => self.doc.add_child(parent, id),
-            None => self.doc.add_root(id),
+    /// Append text to the innermost open element.
+    pub fn text(&mut self, content: impl AsRef<str>) -> &mut Builder {
+        if self.content() {
+            escape_text(&mut self.out, content.as_ref());
         }
         self
     }
 
-    /// Append a comment node.
-    pub fn comment(&mut self, content: impl Into<String>) -> &mut Builder {
-        let id = self.doc.push_node(Node::Comment(content.into()));
-        match self.stack.last() {
-            Some(&parent) => self.doc.add_child(parent, id),
-            None => self.doc.add_root(id),
+    /// Append a comment.
+    pub fn comment(&mut self, content: impl AsRef<str>) -> &mut Builder {
+        if self.content() {
+            self.out.push_str("<!--");
+            self.out.push_str(content.as_ref());
+            self.out.push_str("-->");
         }
         self
     }
 
-    /// Open a void element (no children, self-closing render).
+    /// Open and close a void element (rendered without a closing tag).
     pub fn void(&mut self, tag: &str) -> &mut Builder {
         self.open(tag).close()
     }
 
     /// Close the innermost open element.
     pub fn close(&mut self) -> &mut Builder {
-        self.stack.pop();
+        if let Some(top) = self.open.pop() {
+            if !top.muted {
+                if top.gt.is_none() {
+                    self.out.push('>');
+                }
+                if !top.void {
+                    close_tag(&mut self.out, &self.tags[top.tag_at..]);
+                }
+            }
+            self.tags.truncate(top.tag_at);
+        }
         self
     }
 
@@ -368,22 +448,19 @@ impl Builder {
         self.open(tag).text(text).close()
     }
 
-    /// Finish building; closes any still-open elements.
-    pub fn finish(mut self) -> Document {
-        self.stack.clear();
-        self.doc
-    }
-}
-
-impl Default for Builder {
-    fn default() -> Self {
-        Builder::new()
+    /// Finish building: close any still-open elements and return the HTML.
+    pub fn finish(mut self) -> String {
+        while !self.open.is_empty() {
+            self.close();
+        }
+        self.out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse;
 
     #[test]
     fn builder_produces_nested_markup() {
@@ -393,9 +470,8 @@ mod tests {
             b.open("li").leaf("span", &format!("offer {i}")).close();
         }
         b.close();
-        let html = b.finish().render();
         assert_eq!(
-            html,
+            b.finish(),
             "<ul id=\"offers\"><li><span>offer 0</span></li><li><span>offer 1</span></li></ul>"
         );
     }
@@ -404,41 +480,109 @@ mod tests {
     fn text_is_escaped_on_render() {
         let mut b = Builder::new();
         b.leaf("p", "a < b & c");
-        assert_eq!(b.finish().render(), "<p>a &lt; b &amp; c</p>");
+        assert_eq!(b.finish(), "<p>a &lt; b &amp; c</p>");
     }
 
     #[test]
     fn void_elements_render_without_closing_tag() {
         let mut b = Builder::new();
         b.open("div").void("br").close();
-        assert_eq!(b.finish().render(), "<div><br></div>");
+        assert_eq!(b.finish(), "<div><br></div>");
     }
 
     #[test]
     fn element_text_concatenates_subtree() {
-        let mut b = Builder::new();
-        b.open("div").text("price: ").leaf("b", "$157").text(" total").close();
-        let doc = b.finish();
-        let root = doc.element(doc.roots()[0]);
-        assert_eq!(root.text(), "price: $157 total");
+        let doc = parse("<div>price: <b>$157</b> total</div>");
+        assert_eq!(doc.element(0).text(), "price: $157 total");
     }
 
     #[test]
     fn classes_parse() {
-        let mut b = Builder::new();
-        b.open("div").attr("class", "offer featured sold").close();
-        let doc = b.finish();
-        let el = doc.element(doc.roots()[0]);
+        let doc = parse(r#"<div class="offer featured sold"></div>"#);
+        let el = doc.element(0);
         assert!(el.has_class("featured"));
+        assert!(el.has_class("sold"));
         assert!(!el.has_class("off"));
-        assert_eq!(el.classes().len(), 3);
     }
 
     #[test]
     fn unbalanced_builder_is_tolerated() {
         let mut b = Builder::new();
         b.open("div").open("span").text("dangling");
-        let doc = b.finish(); // closes implicitly
-        assert!(doc.render().contains("dangling"));
+        assert_eq!(b.finish(), "<div><span>dangling</span></div>");
+    }
+
+    #[test]
+    fn late_attributes_and_void_content_render_like_the_tree() {
+        let mut b = Builder::new();
+        b.open("DIV").text("x").attr("Data-A", "1").open("img").text("lost").attr("src", "a").close();
+        b.attr("b", "\"2\"");
+        assert_eq!(b.finish(), r#"<div data-a="1" b="&quot;2&quot;">x<img src="a"></div>"#);
+    }
+
+    #[test]
+    fn parent_links_and_subtrees() {
+        let doc = parse("<ul><li>a</li><li>b<br></li></ul><p>c</p>");
+        let roots: Vec<NodeId> = doc.roots().collect();
+        assert_eq!(roots, [0, 6]);
+        assert_eq!(doc.parent_of(0), None);
+        let lis: Vec<NodeId> = doc.element(0).children().map(|e| e.id()).collect();
+        assert_eq!(lis, [1, 3]);
+        assert_eq!(doc.parent_of(5), Some(3));
+        assert_eq!(doc.parent_of(7), Some(6));
+    }
+
+    /// Tags, attribute names and strings the builder differential draws
+    /// from: mixed case, void and empty tags, escapes, non-ASCII.
+    const TAGS: &[&str] = &["div", "SPAN", "a", "br", "IMG", "Li", "", "x-é"];
+    const NAMES: &[&str] = &["class", "HREF", "data-Field", "é"];
+    const STRINGS: &[&str] = &["", "plain", "a < b & c > d", "\"quoted\" 'single'", "prix élevé", "&amp; &#65;"];
+
+    /// Apply op `code` to a builder: open, attr, text, comment, void,
+    /// leaf or close, with arguments picked by the rest of the code.
+    macro_rules! apply {
+        ($b:expr, $code:expr) => {{
+            let (op, arg) = ($code % 8, ($code / 8) as usize);
+            let (tag, name, text) = (TAGS[arg % TAGS.len()], NAMES[arg % NAMES.len()], STRINGS[arg % STRINGS.len()]);
+            match op {
+                0 => {
+                    $b.open(tag);
+                }
+                1 | 2 => {
+                    $b.attr(name, text);
+                }
+                3 => {
+                    $b.text(text);
+                }
+                4 => {
+                    $b.comment(text);
+                }
+                5 => {
+                    $b.void(tag);
+                }
+                6 => {
+                    $b.leaf(tag, text);
+                }
+                _ => {
+                    $b.close();
+                }
+            }
+        }};
+    }
+
+    foundation::prop_check! {
+        /// The streaming builder writes byte for byte what building the
+        /// tree and rendering it wrote, over random and unbalanced op
+        /// sequences: late attributes, content inside void elements,
+        /// stray closes, and elements left open for `finish`.
+        fn builder_matches_oracle_bytes(codes in foundation::check::vec(0u64..4096, 0..48)) {
+            let mut new = Builder::new();
+            let mut old = crate::oracle::Builder::new();
+            for &code in &codes {
+                apply!(new, code);
+                apply!(old, code);
+            }
+            assert_eq!(new.finish(), old.finish().render(), "{codes:?}");
+        }
     }
 }

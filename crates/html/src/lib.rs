@@ -2,8 +2,9 @@
 
 //! # acctrade-html
 //!
-//! A small HTML engine: a DOM tree, a renderer, a tolerant parser, and a
-//! CSS-ish selector engine.
+//! A small HTML engine: a one-pass tolerant parser into an arena DOM, a
+//! CSS-ish selector engine, a renderer, and a [`dom::Builder`] that page
+//! templates write HTML through.
 //!
 //! The reproduced paper crawled marketplace listing pages with
 //! Selenium-driven Chrome. Our simulated marketplaces render genuine HTML
@@ -12,6 +13,13 @@
 //! not stubs. The subset implemented covers everything the marketplace
 //! templates emit: elements, attributes, text, comments, void elements, and
 //! entity escaping.
+//!
+//! Both sides of a page are on the crawl's hot path, so neither builds more
+//! than it needs. The parser appends nodes to an arena in document order,
+//! each with its parent and the end of its subtree, and borrows text and
+//! attribute values from the input unless an entity had to be decoded. The
+//! builder writes escaped HTML straight into one `String`, with no tree in
+//! between.
 //!
 //! ```
 //! use acctrade_html::{parse, Selector};
@@ -25,10 +33,12 @@
 
 pub mod dom;
 pub mod escape;
+#[cfg(test)]
+mod oracle;
 pub mod parser;
 pub mod select;
 
-pub use dom::{Document, ElementRef, Node, NodeId};
+pub use dom::{Document, ElementRef, NodeId};
 pub use escape::{escape_attr, escape_text, unescape};
 pub use parser::parse;
 pub use select::Selector;

@@ -9,7 +9,7 @@
 //!
 //! `*` matches any tag. Attribute values may be quoted or bare.
 
-use crate::dom::{Document, Node, NodeId};
+use crate::dom::{Document, NodeId};
 
 /// One simple (compound) selector: tag/id/class/attr constraints that must
 /// all hold on a single element.
@@ -22,20 +22,18 @@ struct Compound {
 }
 
 impl Compound {
-    fn matches(&self, doc: &Document, id: NodeId) -> bool {
-        let Node::Element { tag, attrs, .. } = doc.node(id) else {
+    fn matches(&self, doc: &Document<'_>, id: NodeId) -> bool {
+        let Some((tag, attrs)) = doc.element_parts(id) else {
             return false;
         };
-        if let Some(t) = &self.tag {
-            if t != tag {
-                return false;
-            }
+        if self.tag.as_ref().is_some_and(|t| t != tag) {
+            return false;
         }
         let get = |name: &str| {
             attrs
                 .iter()
                 .find(|(k, _)| k.eq_ignore_ascii_case(name))
-                .map(|(_, v)| v.as_str())
+                .map(|(_, v)| &**v)
         };
         if let Some(want_id) = &self.id {
             if get("id") != Some(want_id.as_str()) {
@@ -43,23 +41,16 @@ impl Compound {
             }
         }
         if !self.classes.is_empty() {
-            let have: Vec<&str> = get("class").map(|c| c.split_whitespace().collect()).unwrap_or_default();
-            if !self.classes.iter().all(|c| have.contains(&c.as_str())) {
+            let have = get("class").unwrap_or("");
+            if !self.classes.iter().all(|c| have.split_whitespace().any(|h| h == c)) {
                 return false;
             }
         }
-        for (name, want) in &self.attrs {
-            match (get(name), want) {
-                (None, _) => return false,
-                (Some(_), None) => {}
-                (Some(v), Some(w)) => {
-                    if v != w {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        self.attrs.iter().all(|(name, want)| match (get(name), want) {
+            (None, _) => false,
+            (Some(_), None) => true,
+            (Some(v), Some(w)) => v == w,
+        })
     }
 }
 
@@ -97,24 +88,25 @@ impl Selector {
 
     /// Does the element `id` match this selector (with its ancestors
     /// satisfying the leading compounds)?
-    pub fn matches(&self, doc: &Document, id: NodeId) -> bool {
-        let (last, prefix) = self.chain.split_last().expect("non-empty chain"); // conformance: allow(panic-policy) — the selector parser never yields an empty chain
+    pub fn matches(&self, doc: &Document<'_>, id: NodeId) -> bool {
+        let Some((last, prefix)) = self.chain.split_last() else {
+            return false;
+        };
         if !last.matches(doc, id) {
             return false;
         }
-        // Walk ancestors, greedily consuming the prefix right-to-left.
-        let mut needed: Vec<&Compound> = prefix.iter().collect();
+        // Walk ancestors, greedily consuming the prefix right-to-left:
+        // `prefix[..needed]` is still unmatched.
+        let mut needed = prefix.len();
         let mut current = id;
-        while let Some(next_needed) = needed.last() {
-            match doc.parent_of(current) {
-                Some(parent) => {
-                    if next_needed.matches(doc, parent) {
-                        needed.pop();
-                    }
-                    current = parent;
-                }
-                None => return false,
+        while needed > 0 {
+            let Some(parent) = doc.parent_of(current) else {
+                return false;
+            };
+            if prefix[needed - 1].matches(doc, parent) {
+                needed -= 1;
             }
+            current = parent;
         }
         true
     }

@@ -35,7 +35,8 @@ prop_check! {
         let el = doc.select_first(&Selector::parse("div").unwrap()).unwrap();
         assert_eq!(el.attr("data-x"), Some(value.as_str()));
         // And through a render cycle.
-        let doc2 = parse(&doc.render());
+        let rendered = doc.render();
+        let doc2 = parse(&rendered);
         let el2 = doc2.select_first(&Selector::parse("div").unwrap()).unwrap();
         assert_eq!(el2.attr("data-x"), Some(value.as_str()));
     }

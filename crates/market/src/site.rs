@@ -99,7 +99,7 @@ impl MarketplaceSite {
                 .close();
         }
         b.close().close().close();
-        Response::ok().with_html(b.finish().render())
+        Response::ok().with_html(b.finish())
     }
 
     fn listing_index(&self, platform: Platform, page: usize) -> Response {
@@ -169,7 +169,7 @@ impl MarketplaceSite {
                 .close();
         }
         b.close().close();
-        Response::ok().with_html(b.finish().render())
+        Response::ok().with_html(b.finish())
     }
 
     fn offer_page(&self, id: u64) -> Response {
@@ -308,7 +308,7 @@ impl MarketplaceSite {
             }
         }
         b.close().close();
-        Response::ok().with_html(b.finish().render())
+        Response::ok().with_html(b.finish())
     }
 }
 
@@ -428,7 +428,8 @@ mod tests {
     fn storefront_links_stocked_platforms() {
         let (_state, client) = setup(MarketplaceId::Accsmarket, 3);
         let resp = client.get("http://accsmarket.com/").unwrap();
-        let doc = parse(&resp.text());
+        let html = resp.text();
+        let doc = parse(&html);
         let links = doc.select(&Selector::parse("a.platform-link").unwrap());
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].attr("href"), Some("/listings/instagram"));
@@ -439,13 +440,15 @@ mod tests {
         // 30 listings at page size 24 -> 2 pages.
         let (_state, client) = setup(MarketplaceId::Accsmarket, 30);
         let p0 = client.get("http://accsmarket.com/listings/instagram").unwrap();
-        let doc0 = parse(&p0.text());
+        let html0 = p0.text();
+        let doc0 = parse(&html0);
         assert_eq!(doc0.select(&Selector::parse("a.offer-link").unwrap()).len(), 24);
         let next = doc0.select_first(&Selector::parse("a.next").unwrap()).unwrap();
         let p1 = client
             .get(&format!("http://accsmarket.com{}", next.attr("href").unwrap()))
             .unwrap();
-        let doc1 = parse(&p1.text());
+        let html1 = p1.text();
+        let doc1 = parse(&html1);
         assert_eq!(doc1.select(&Selector::parse("a.offer-link").unwrap()).len(), 6);
         assert!(doc1.select_first(&Selector::parse("a.next").unwrap()).is_none());
     }
@@ -454,7 +457,8 @@ mod tests {
     fn offer_page_cards_dialect_has_classed_fields() {
         let (_state, client) = setup(MarketplaceId::Accsmarket, 1);
         let resp = client.get("http://accsmarket.com/offer/1").unwrap();
-        let doc = parse(&resp.text());
+        let html = resp.text();
+        let doc = parse(&html);
         let title = doc.select_first(&Selector::parse("h1.offer-title").unwrap()).unwrap();
         assert_eq!(title.text(), "IG page #0");
         let price = doc.select_first(&Selector::parse("span.price").unwrap()).unwrap();
@@ -469,7 +473,8 @@ mod tests {
     fn table_dialect_uses_dl_fields() {
         let (_state, client) = setup(MarketplaceId::FameSwap, 1);
         let resp = client.get("http://fameswap.com/offer/1").unwrap();
-        let doc = parse(&resp.text());
+        let html = resp.text();
+        let doc = parse(&html);
         let dts = doc.select(&Selector::parse("#offer-fields dt").unwrap());
         let keys: Vec<String> = dts.iter().map(|e| e.text()).collect();
         assert!(keys.contains(&"Price".to_string()));
@@ -481,7 +486,8 @@ mod tests {
     fn list_dialect_uses_data_fields() {
         let (_state, client) = setup(MarketplaceId::Z2U, 1);
         let resp = client.get("http://z2u.com/offer/1").unwrap();
-        let doc = parse(&resp.text());
+        let html = resp.text();
+        let doc = parse(&html);
         let price = doc
             .select_first(&Selector::parse(r#"[data-field=price]"#).unwrap())
             .unwrap();

@@ -327,7 +327,7 @@ impl UndergroundForum {
             linked.push(path);
         }
         b.close().close().close();
-        self.serve_linking(sid, b.finish().render(), linked)
+        self.serve_linking(sid, b.finish(), linked)
     }
 
     fn section_posts(&self, section: &str) -> Vec<&UndergroundPost> {
@@ -366,7 +366,7 @@ impl UndergroundForum {
             linked.push(format!("/section/{section}"));
         }
         b.close().close();
-        self.serve_linking(sid, b.finish().render(), linked)
+        self.serve_linking(sid, b.finish(), linked)
     }
 
     fn thread(&self, sid: &str, id: u64) -> Response {
@@ -393,7 +393,7 @@ impl UndergroundForum {
         b.open("span").attr("class", "contact").text(&p.contact).close();
         b.open("span").attr("class", "replies").text(p.replies.to_string()).close();
         b.close().close().close();
-        self.serve_linking(sid, b.finish().render(), Vec::new())
+        self.serve_linking(sid, b.finish(), Vec::new())
     }
 
     fn search(&self, sid: &str, query: &str) -> Response {
@@ -418,7 +418,7 @@ impl UndergroundForum {
             linked.push(path);
         }
         b.close().close().close();
-        self.serve_linking(sid, b.finish().render(), linked)
+        self.serve_linking(sid, b.finish(), linked)
     }
 }
 

@@ -363,74 +363,6 @@ fn extract(edges: &[(f64, usize, usize)], n: usize, min_size: usize) -> Vec<Clus
 }
 
 #[cfg(test)]
-mod oracle {
-    //! The kd-tree core distances and Prim pass [`super::hdbscan`]
-    //! replaced, kept verbatim as the differential oracle for its brute
-    //! distance kernel.
-
-    use super::super::kdtree::{dist, KdTree};
-    use super::{extract, ClusterLabel};
-
-    pub fn core_distances(points: &[Vec<f32>], k: usize) -> Vec<f64> {
-        let tree = KdTree::build(points);
-        (0..points.len())
-            .map(|i| tree.kth_neighbor_distance(i, k))
-            .collect()
-    }
-
-    pub fn hdbscan(points: &[Vec<f32>], min_pts: usize) -> Vec<ClusterLabel> {
-        let n = points.len();
-        let min_size = min_pts.max(2);
-        if n == 0 {
-            return Vec::new();
-        }
-        if n <= min_size {
-            return vec![ClusterLabel::Noise; n];
-        }
-        let core = core_distances(points, min_pts);
-        let edges = mst_edges(points, &core);
-        extract(&edges, n, min_size)
-    }
-
-    /// Prim's MST over the implicit complete mutual-reachability graph.
-    pub fn mst_edges(points: &[Vec<f32>], core: &[f64]) -> Vec<(f64, usize, usize)> {
-        let n = points.len();
-        let mreach = |a: usize, b: usize| dist(&points[a], &points[b]).max(core[a]).max(core[b]);
-        let mut in_tree = vec![false; n];
-        let mut best = vec![f64::INFINITY; n];
-        let mut best_from = vec![0usize; n];
-        let mut edges = Vec::with_capacity(n - 1);
-        in_tree[0] = true;
-        for (j, slot) in best.iter_mut().enumerate().skip(1) {
-            *slot = mreach(0, j);
-        }
-        for _ in 1..n {
-            let mut u = usize::MAX;
-            let mut ud = f64::INFINITY;
-            for j in 0..n {
-                if !in_tree[j] && best[j] < ud {
-                    ud = best[j];
-                    u = j;
-                }
-            }
-            debug_assert!(u != usize::MAX, "graph is complete");
-            in_tree[u] = true;
-            edges.push((ud, best_from[u], u));
-            for j in 0..n {
-                if !in_tree[j] {
-                    let d = mreach(u, j);
-                    if d < best[j] {
-                        best[j] = d;
-                        best_from[j] = u;
-                    }
-                }
-            }
-        }
-        edges
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::super::{members_by_cluster, n_clusters};
     use super::*;
@@ -451,35 +383,6 @@ mod tests {
             }
         }
         (pts, truth)
-    }
-
-    foundation::prop_check! {
-        /// Brute-force core distances and the kernel-driven Prim pass match
-        /// the kd-tree oracle bit for bit, and so do the labels, across
-        /// duplicated, all-equal and tie-heavy grid rows.
-        fn brute_kernels_match_kdtree_oracle(
-            n in 1usize..40,
-            dim in 1usize..24,
-            min_pts in 2usize..6,
-            shape_k in 0usize..400,
-            vals in foundation::check::vec(-50.0f32..50.0, 1..64),
-        ) {
-            let points = crate::testkit::shaped_points(n, dim, shape_k % 4, &vals);
-            assert_eq!(hdbscan(&points, min_pts), oracle::hdbscan(&points, min_pts));
-            if n >= 2 {
-                let k = 1 + (shape_k / 4) % (n - 1);
-                let core = core_distances(&points, k);
-                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&core), bits(&oracle::core_distances(&points, k)));
-                let edge_bits = |es: Vec<(f64, usize, usize)>| -> Vec<(u64, usize, usize)> {
-                    es.into_iter().map(|(w, a, b)| (w.to_bits(), a, b)).collect()
-                };
-                assert_eq!(
-                    edge_bits(mst_edges(&points, &core)),
-                    edge_bits(oracle::mst_edges(&points, &core))
-                );
-            }
-        }
     }
 
     #[test]

@@ -4,9 +4,7 @@
 //! Pruning only pays in low dimensions. In the 48 dimensions the
 //! scam-post pipeline clusters in, the expanding-radius k-th-neighbor
 //! search HDBSCAN used to run on this tree was slower than brute force, so
-//! HDBSCAN now computes its core distances by brute force. That search is
-//! kept under `#[cfg(test)]` as the brute-force kernel's differential
-//! oracle.
+//! HDBSCAN now computes its core distances by brute force.
 
 /// A KD-tree built over borrowed points (rows of equal length).
 pub struct KdTree<'a> {
@@ -87,45 +85,6 @@ impl<'a> KdTree<'a> {
     }
 }
 
-/// The differential oracle for HDBSCAN's brute-force core distances.
-#[cfg(test)]
-impl KdTree<'_> {
-    /// Distance to the k-th nearest neighbor of point `i` (excluding
-    /// itself). Returns `f64::INFINITY` when fewer than `k` other points
-    /// exist.
-    pub fn kth_neighbor_distance(&self, i: usize, k: usize) -> f64 {
-        let query = &self.points[i];
-        // Expanding-radius search: start from a guess and double until we
-        // have k neighbors. Correct (the final radius bounds all misses)
-        // and simple; fast in clustered data.
-        if self.len() <= k {
-            return f64::INFINITY;
-        }
-        let mut radius = self.initial_radius_guess(i);
-        loop {
-            let mut hits = self.within_radius(query, radius);
-            hits.retain(|&j| j != i);
-            if hits.len() >= k {
-                let mut ds: Vec<f64> = hits.iter().map(|&j| dist(&self.points[j], query)).collect();
-                ds.sort_by(|a, b| a.total_cmp(b));
-                return ds[k - 1];
-            }
-            radius = (radius * 2.0).max(1e-6);
-        }
-    }
-
-    fn initial_radius_guess(&self, i: usize) -> f64 {
-        // Distance to the root point is a cheap nonzero scale estimate.
-        let root = self.order[self.order.len() / 2];
-        let d = dist(&self.points[i], &self.points[root]);
-        if d > 0.0 {
-            d / 4.0
-        } else {
-            1e-3
-        }
-    }
-}
-
 fn build_recursive(points: &[Vec<f32>], order: &mut [usize], depth: usize, dim: usize) {
     if order.len() <= 1 {
         return;
@@ -183,35 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn kth_distance_matches_brute_force() {
-        let pts = random_points(120, 3, 2);
-        let tree = KdTree::build(&pts);
-        for qi in [0, 50, 119] {
-            for k in [1, 5, 10] {
-                let got = tree.kth_neighbor_distance(qi, k);
-                let mut ds: Vec<f64> = (0..pts.len())
-                    .filter(|&j| j != qi)
-                    .map(|j| dist(&pts[j], &pts[qi]))
-                    .collect();
-                ds.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                assert!((got - ds[k - 1]).abs() < 1e-9, "qi={qi} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn kth_distance_with_too_few_points() {
-        let pts = random_points(3, 2, 3);
-        let tree = KdTree::build(&pts);
-        assert_eq!(tree.kth_neighbor_distance(0, 5), f64::INFINITY);
-    }
-
-    #[test]
     fn duplicate_points_handled() {
         let pts = vec![vec![1.0f32, 1.0]; 10];
         let tree = KdTree::build(&pts);
         assert_eq!(tree.within_radius(&pts[0], 0.0).len(), 10);
-        assert_eq!(tree.kth_neighbor_distance(0, 3), 0.0);
     }
 
     #[test]

@@ -39,24 +39,3 @@ pub use similarity::word_similarity;
 pub use tokenize::tokenize;
 pub use vectorize::{cosine, TfIdfModel};
 
-#[cfg(test)]
-mod testkit {
-    //! Point sets for the kernels' differential property tests.
-
-    /// `n` rows of `dim` values cycled from `vals`. `shape` 1 repeats every
-    /// row three times over; `shape` 2 makes every row equal (a rank-0
-    /// set); `shape` 3 snaps values to a coarse grid, so many distinct
-    /// pairs lie at equal distances.
-    pub fn shaped_points(n: usize, dim: usize, shape: usize, vals: &[f32]) -> Vec<Vec<f32>> {
-        let row =
-            |i: usize| -> Vec<f32> { (0..dim).map(|t| vals[(i * dim + t) % vals.len()]).collect() };
-        (0..n)
-            .map(|i| match shape {
-                1 => row(i / 3),
-                2 => row(0),
-                3 => row(i).into_iter().map(|x| (x / 25.0).round()).collect(),
-                _ => row(i),
-            })
-            .collect()
-    }
-}

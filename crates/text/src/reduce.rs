@@ -24,8 +24,8 @@
 //!
 //! Every output value thus sees exactly the IEEE-754 operations, in
 //! exactly the order, of the plain row-by-row loop, and the results are
-//! bit-identical to it (a test-only oracle keeps that loop; property tests
-//! compare `to_bits`). Keeping it so rules out `mul_add` and any
+//! bit-identical to it (the tier-1 golden `tests/scam_kernels.rs` pins
+//! them). Keeping it so rules out `mul_add` and any
 //! reassociation. The zero rows padding the last block are never added
 //! into `w` either: the plain loop has no such terms, and adding `±0.0`
 //! is exact only while no `w[j]` holds `-0.0`. The final projection uses
@@ -191,90 +191,6 @@ fn random_unit(rng: &mut impl Rng, dim: usize) -> Vec<f64> {
 }
 
 #[cfg(test)]
-mod oracle {
-    //! The row-by-row power iteration [`super::pca_reduce`] replaced, kept
-    //! verbatim as the differential oracle for its block kernel.
-
-    use super::random_unit;
-    use foundation::rng::{ChaCha8Rng, SeedableRng};
-
-    pub fn pca_reduce(data: &[Vec<f32>], k: usize, seed: u64) -> Vec<Vec<f32>> {
-        assert!(!data.is_empty(), "no data");
-        assert!(k > 0, "k must be positive");
-        let dim = data[0].len();
-        assert!(data.iter().all(|r| r.len() == dim), "ragged rows");
-        let k = k.min(dim);
-        let n = data.len();
-
-        // Center the data.
-        let mut mean = vec![0.0f64; dim];
-        for row in data {
-            for (m, &x) in mean.iter_mut().zip(row) {
-                *m += f64::from(x);
-            }
-        }
-        for m in &mut mean {
-            *m /= n as f64;
-        }
-        let centered: Vec<Vec<f64>> = data
-            .iter()
-            .map(|row| row.iter().zip(&mean).map(|(&x, m)| f64::from(x) - m).collect())
-            .collect();
-
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9CA0_0000_0000_000A);
-        let mut components: Vec<Vec<f64>> = Vec::with_capacity(k);
-
-        for _ in 0..k {
-            let mut v = random_unit(&mut rng, dim);
-            for _iter in 0..60 {
-                // w = C^T C v  computed as sum over rows without materializing C^T C.
-                let mut w = vec![0.0f64; dim];
-                for row in &centered {
-                    let proj: f64 = row.iter().zip(&v).map(|(a, b)| a * b).sum();
-                    for (wi, &ri) in w.iter_mut().zip(row) {
-                        *wi += proj * ri;
-                    }
-                }
-                // Deflate previously found components.
-                for c in &components {
-                    let d: f64 = w.iter().zip(c).map(|(a, b)| a * b).sum();
-                    for (wi, &ci) in w.iter_mut().zip(c) {
-                        *wi -= d * ci;
-                    }
-                }
-                let norm: f64 = w.iter().map(|x| x * x).sum::<f64>().sqrt();
-                if norm < 1e-12 {
-                    // Degenerate direction (rank exhausted); keep previous v.
-                    break;
-                }
-                let mut next: Vec<f64> = w.into_iter().map(|x| x / norm).collect();
-                // Convergence check.
-                let delta: f64 = next
-                    .iter()
-                    .zip(&v)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0, f64::max);
-                std::mem::swap(&mut v, &mut next);
-                if delta < 1e-9 {
-                    break;
-                }
-            }
-            components.push(v);
-        }
-
-        centered
-            .iter()
-            .map(|row| {
-                components
-                    .iter()
-                    .map(|c| row.iter().zip(c).map(|(a, b)| a * b).sum::<f64>() as f32)
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -342,28 +258,6 @@ mod tests {
             reduced.iter().map(|r| (r[idx] - mean).powi(2)).sum::<f32>() / reduced.len() as f32
         };
         assert!(var(0) > var(1) * 10.0, "v0={} v1={}", var(0), var(1));
-    }
-
-    foundation::prop_check! {
-        /// The block kernel is bit-identical to the row-by-row oracle,
-        /// across partial last blocks (`n % 8 != 0`, `n < 8`), duplicated
-        /// rows, all-equal rows (the rank-exhausted break), grid rows and
-        /// `k > dim`.
-        fn block_kernel_matches_row_oracle_bit_for_bit(
-            n in 1usize..40,
-            dim in 1usize..24,
-            k in 1usize..26,
-            shape_seed in 0usize..4_000,
-            vals in foundation::check::vec(-50.0f32..50.0, 1..64),
-        ) {
-            let (shape, seed) = (shape_seed % 4, (shape_seed / 4) as u64);
-            let data = crate::testkit::shaped_points(n, dim, shape, &vals);
-            let k = 1 + (k - 1) % (dim + 2);
-            let bits = |rows: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
-                rows.into_iter().map(|r| r.into_iter().map(f32::to_bits).collect()).collect()
-            };
-            assert_eq!(bits(pca_reduce(&data, k, seed)), bits(oracle::pca_reduce(&data, k, seed)));
-        }
     }
 
     #[test]

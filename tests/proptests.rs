@@ -42,8 +42,8 @@ prop_check! {
         // content must survive (modulo whitespace normalization the DOM
         // applies).
         let mut b = acctrade::html::dom::Builder::new();
-        b.open("p").text(text.to_string()).close();
-        let rendered = b.finish().render();
+        b.open("p").text(&text).close();
+        let rendered = b.finish();
         let doc = parse(&rendered);
         let p = doc.select_first(&Selector::parse("p").unwrap()).unwrap();
         let expect: String = text.split_whitespace().collect::<Vec<_>>().join(" ");
@@ -52,8 +52,8 @@ prop_check! {
 
     fn html_attr_roundtrip(value in pattern("[ -~&&[^<>]]{0,40}")) {
         let mut b = acctrade::html::dom::Builder::new();
-        b.open("a").attr("title", value.to_string()).close();
-        let rendered = b.finish().render();
+        b.open("a").attr("title", &value).close();
+        let rendered = b.finish();
         let doc = parse(&rendered);
         let a = doc.select_first(&Selector::parse("a").unwrap()).unwrap();
         assert_eq!(a.attr("title"), Some(value.as_str()));
